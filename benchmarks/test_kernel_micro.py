@@ -12,7 +12,11 @@ sizes and records the results for the regression gate:
   materialising replica of the historical code;
 - **submit path** — the serialization probe the executor used to run
   eagerly on every pool submit (now diagnosed lazily, only after a
-  pool-surfaced failure): quantifies the removed per-map overhead.
+  pool-surfaced failure): quantifies the removed per-map overhead;
+- **fingerprint** — the canonical topology fingerprint every schedule
+  cache miss computes (distances included), at N=300, against the
+  original pure-Python canonicalisation kept in
+  ``tests/fingerprint_reference.py``.
 
 Speedup entries are stamped with the machine's core count; the bench
 gate skips cross-machine speedup comparisons (``tools/bench_gate.py``).
@@ -28,14 +32,20 @@ import numpy as np
 from benchmarks import bench_export
 from repro.backend import kernels
 from repro.backend.numba_backend import NUMBA_AVAILABLE
+from repro.cache.fingerprint import fingerprint_with_order
 from repro.core.problem import FadingRLS
 from repro.network.topology import paper_topology
 from repro.sim.parallel import build_units
 from repro.core.base import get_scheduler
 from repro.experiments.config import TopologyWorkload
+from tests.fingerprint_reference import reference_fingerprint_with_order
 
 N_LINKS = 800
 K_ACTIVE = 24
+FP_LINKS = 300
+#: Fingerprint calls per recorded batch: 0.25-0.55 s on a 2-CPU x86 host,
+#: well clear of the bench gate's 0.05 s absolute slack.
+FP_CALLS = 64
 
 
 def _best_of(fn, repeats=7, inner=20):
@@ -209,3 +219,37 @@ def test_submit_path_probe_overhead_removed():
         f"removed for {len(units)} units"
     )
     assert probe_s > 0.0
+
+
+def test_fingerprint_wall():
+    links = paper_topology(FP_LINKS, seed=0)
+
+    def vectorised():
+        # A fresh problem per call: a cache miss pays the distances too.
+        return fingerprint_with_order(FadingRLS(links=links))
+
+    def reference():
+        return reference_fingerprint_with_order(FadingRLS(links=links))
+
+    fp, order = vectorised()
+    ref_fp, ref_order = reference()
+    assert fp == ref_fp and np.array_equal(order, ref_order)
+    per_call = _best_of(vectorised, repeats=3, inner=FP_CALLS)
+    reference_s = _best_of(reference, repeats=2, inner=3)
+    speedup = reference_s / per_call
+    bench_export.record(
+        "kernel_fingerprint",
+        per_call * FP_CALLS,
+        {
+            "n_links": FP_LINKS,
+            "calls": FP_CALLS,
+            "seconds_per_call": per_call,
+            "reference_seconds_per_call": reference_s,
+            "speedup_vs_reference": speedup,
+        },
+    )
+    print(
+        f"\nfingerprint: reference {reference_s * 1e3:.1f}ms, vectorised "
+        f"{per_call * 1e3:.2f}ms per call at N={FP_LINKS}, speedup {speedup:.1f}x"
+    )
+    assert speedup >= 3.0, f"expected >= 3x over the reference at N={FP_LINKS}; got {speedup:.2f}x"

@@ -35,12 +35,18 @@ request:
     different geometries apart.
 
 The canonical link order sorts links by a per-link invariant feature
-row (own length, rate, sorted distance row, sorted distance column).
-Links with bit-identical feature rows are ordered arbitrarily; for such
-fully-symmetric geometries two relabelings can hash differently (a
-miss, never a wrong hit).  The Hypothesis suite checks invariance on
-the adversarial fuzzer families, where ties do not survive
-quantization.
+row (own length, rate, sorted distance row, sorted distance column),
+compared lexicographically as signed integers.  Equal feature rows keep
+input order (stable); for such fully-symmetric geometries two
+relabelings can hash differently (a miss, never a wrong hit).  The
+Hypothesis suite checks invariance on the adversarial fuzzer families,
+where ties do not survive quantization.
+
+The fingerprint reads the problem's cached distance matrix
+(:meth:`~repro.core.problem.FadingRLS.distances`), so a cache miss
+builds its O(N^2) distances once and the scheduler's F build reuses
+them.  The whole computation is vectorised: one ``(N, 2N + 2)`` feature
+matrix and one stable argsort over its rows.
 """
 
 from __future__ import annotations
@@ -52,7 +58,6 @@ from typing import Any, Mapping, Optional, Tuple
 
 import numpy as np
 
-from repro.geometry.distance import cross_distances
 from repro.network.links import LinkSet
 
 __all__ = [
@@ -169,6 +174,25 @@ def exact_key(problem, scheduler_id: str) -> str:
     return h.hexdigest()[:24]
 
 
+_SIGN_BIT = np.uint64(1 << 63)
+
+
+def _stable_row_order(features: np.ndarray) -> np.ndarray:
+    """Stable lexicographic order of the rows of an int64 matrix.
+
+    Flipping the sign bit maps signed int64 onto uint64 monotonically,
+    and the big-endian bytes of a uint64 compare like the integer, so a
+    byte-wise comparison of whole rows is the signed lexicographic one
+    — the order Python's ``sorted`` gives the same rows as int tuples
+    (quanta that overflow the int64 cast included).  Equal rows keep
+    input order.
+    """
+    n, width = features.shape
+    keys = (features.view(np.uint64) ^ _SIGN_BIT).astype(">u8")
+    rows = keys.view(np.dtype((np.void, 8 * width))).reshape(n)
+    return np.argsort(rows, kind="stable").astype(np.int64, copy=False)
+
+
 def fingerprint_with_order(problem) -> Tuple[str, np.ndarray]:
     """Canonical fingerprint plus the canonical link order.
 
@@ -179,25 +203,24 @@ def fingerprint_with_order(problem) -> Tuple[str, np.ndarray]:
     orders align link for link — which is what lets a cached schedule
     be remapped onto a differently-labelled copy.
     """
-    senders, receivers, rates = _link_arrays(problem.links)
+    rates = np.ascontiguousarray(problem.links.rates, dtype=np.float64)
     n = rates.shape[0]
-    dist = cross_distances(senders, receivers)
+    dist = problem.distances()
     own = np.diag(dist)
     scale = float(own.mean()) if n else 1.0
     quanta = np.rint(dist / (scale * QUANTUM)).astype(np.int64)
     rate_q = np.rint(rates / QUANTUM).astype(np.int64)
 
-    keys = []
-    for i in range(n):
-        keys.append(
-            (
-                int(quanta[i, i]),
-                int(rate_q[i]),
-                tuple(sorted(quanta[i, :].tolist())),
-                tuple(sorted(quanta[:, i].tolist())),
-            )
-        )
-    order = np.asarray(sorted(range(n), key=keys.__getitem__), dtype=np.int64)
+    # Feature row i: own length, rate, sorted distance row i, sorted
+    # distance column i (each block sorted in place).
+    features = np.empty((n, 2 * n + 2), dtype=np.int64)
+    features[:, 0] = np.diagonal(quanta)
+    features[:, 1] = rate_q
+    features[:, 2 : n + 2] = quanta
+    features[:, n + 2 :] = quanta.T
+    features[:, 2 : n + 2].sort(axis=1)
+    features[:, n + 2 :].sort(axis=1)
+    order = _stable_row_order(features)
 
     h = hashlib.sha256()
     h.update(_FINGERPRINT_SALT)
@@ -208,8 +231,7 @@ def fingerprint_with_order(problem) -> Tuple[str, np.ndarray]:
         # the fingerprint — mirroring the geometry-scale metamorphic
         # relation, which only asserts invariance at noise == 0.
         h.update(repr((problem.power, int(round(scale / QUANTUM)))).encode())
-    canonical = quanta[np.ix_(order, order)]
-    h.update(np.ascontiguousarray(canonical).tobytes())
+    h.update(quanta[order][:, order].tobytes())
     h.update(np.ascontiguousarray(rate_q[order]).tobytes())
     if problem.powers is not None:
         powers_q = np.rint(np.asarray(problem.powers, dtype=np.float64) / QUANTUM)

@@ -9,6 +9,7 @@ to update the expected string.
 """
 
 import functools
+import hashlib
 
 import numpy as np
 import pytest
@@ -28,8 +29,10 @@ from repro.core.problem import FadingRLS
 from repro.core.rle import rle_schedule
 from repro.experiments.config import TopologyWorkload
 from repro.network.links import LinkSet
+from repro.network.topology import paper_topology
 from repro.sim.parallel import WorkUnit, checkpoint_key
 from repro.verify.fuzz import make_scenario
+from tests.fingerprint_reference import reference_fingerprint_with_order
 
 
 class TestKeyCompatibility:
@@ -227,6 +230,58 @@ class TestTopologyFingerprint:
             eps=p.eps,
         )
         assert topology_fingerprint(p) == topology_fingerprint(q)
+
+
+class TestVectorisedCanonicalisation:
+    """The numpy canonicalisation reproduces the original one bit for bit."""
+
+    # Computed with the original tuple-and-``sorted`` implementation;
+    # persisted cache directories store both fields.  If these fail,
+    # restore the canonicalisation — do not update the values.
+    PINNED_N300 = {
+        0: (
+            "99a7fa67f25d921c23580f3f",
+            "7ea754af9523c9e6caf4a3ba45e2603d52b1d1c5739ca8305a58c6c2170887b9",
+        ),
+        1: (
+            "6e5d115a9461551e6cd87404",
+            "595baf944d035756db702562677d87a6fb568797837c9b26995946dd98f5e697",
+        ),
+    }
+
+    @pytest.mark.parametrize("seed", sorted(PINNED_N300))
+    def test_paper_scale_fingerprint_and_order_pinned(self, seed):
+        fp, order = fingerprint_with_order(FadingRLS(links=paper_topology(300, seed=seed)))
+        assert order.dtype == np.int64
+        assert (fp, hashlib.sha256(order.tobytes()).hexdigest()) == self.PINNED_N300[seed]
+
+    def test_overflowing_quanta_sort_like_python_ints(self):
+        # Unit-length links (so own lengths tie) with receivers ~1e10
+        # mean lengths away: those quanta overflow the int64 cast.  A
+        # byte-wise row comparison without the sign-bit flip would
+        # place the overflowed (negative) rows after the others.
+        senders = np.array([[0.0, 0.0], [5e9, 0.0], [1e10, 0.0]])
+        p = FadingRLS(
+            links=LinkSet(senders=senders, receivers=senders + (1.0, 0.0))
+        )
+        assert np.max(p.distances()) / QUANTUM >= 2.0**63
+        with np.errstate(invalid="ignore"):
+            fp, order = fingerprint_with_order(p)
+            ref_fp, ref_order = reference_fingerprint_with_order(p)
+        assert fp == ref_fp
+        assert np.array_equal(order, ref_order)
+
+    def test_empty_problem(self):
+        empty = LinkSet(senders=np.zeros((0, 2)), receivers=np.zeros((0, 2)))
+        p = FadingRLS(links=empty)
+        fp, order = fingerprint_with_order(p)
+        assert (fp, order.dtype, order.shape) == ("031c509f81130e83bc15a81c", np.int64, (0,))
+        assert fp == reference_fingerprint_with_order(p)[0]
+
+    def test_reuses_the_problem_distance_cache(self):
+        p = _problem()
+        fingerprint_with_order(p)
+        assert "distances" in p._cache
 
 
 class TestGeometryDistance:
