@@ -9,22 +9,20 @@ packets burn slots, so a dense fading-susceptible schedule can deliver
 from __future__ import annotations
 
 
-from repro.core.baselines.approx_diversity import approx_diversity_schedule
 from repro.core.problem import FadingRLS
-from repro.core.rle import rle_schedule
 from repro.experiments.reporting import format_table
 from repro.network.topology import paper_topology
-from repro.sim.network_sim import simulate_queues
+from repro.workload.generators import PoissonArrivals
+from repro.workload.queues import simulate_workload
 
 
 def _run_comparison():
     p = FadingRLS(links=paper_topology(120, seed=0))
     rows = []
-    for name, fn in (("rle", rle_schedule), ("approx_diversity", approx_diversity_schedule)):
-        r = simulate_queues(p, fn, n_slots=300, arrival_rate=0.05, seed=1)
-        rows.append(
-            [name, r.deliveries, r.failures, r.slot_efficiency, r.mean_backlog, r.mean_delay]
-        )
+    for name in ("rle", "approx_diversity"):
+        r = simulate_workload(p, PoissonArrivals(rate=0.05), name, n_slots=300, seed=1)
+        efficiency = r.served / (r.served + r.failed)
+        rows.append([name, r.served, r.failed, efficiency, r.mean_backlog(), r.mean_delay])
     return rows
 
 
@@ -48,7 +46,7 @@ def test_queue_sim_benchmark(benchmark):
     p = FadingRLS(links=paper_topology(80, seed=0))
 
     def run():
-        return simulate_queues(p, rle_schedule, n_slots=100, arrival_rate=0.05, seed=2)
+        return simulate_workload(p, PoissonArrivals(rate=0.05), "rle", n_slots=100, seed=2)
 
     result = benchmark(run)
-    assert result.arrivals == result.deliveries + result.final_backlog
+    assert result.arrived == result.served + result.final_backlog

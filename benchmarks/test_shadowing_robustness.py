@@ -11,11 +11,13 @@ symmetrically), continued heavy failures for the baselines.
 from __future__ import annotations
 
 
-from repro.channel.shadowing import success_probability_shadowed
+from repro.channel.laws import ShadowingLaw
 from repro.core.base import get_scheduler
 from repro.core.problem import FadingRLS
 from repro.experiments.reporting import format_table
 from repro.network.topology import paper_topology
+from repro.sim.montecarlo import simulate_trials
+from repro.utils.rng import stable_seed
 
 SIGMA_GRID = (0.0, 4.0, 8.0)
 ALGORITHMS = ("rle", "ldp", "approx_diversity")
@@ -27,15 +29,13 @@ def _measure(n_links=300, seed=0, n_trials=20_000):
     for alg in ALGORITHMS:
         schedule = get_scheduler(alg)(p)
         for sigma in SIGMA_GRID:
-            probs = success_probability_shadowed(
-                p.distances(),
+            probs = simulate_trials(
+                p,
                 schedule.active,
-                p.alpha,
-                p.gamma_th,
-                sigma_db=sigma,
-                n_trials=n_trials,
-                seed=hash((alg, sigma)) % 2**31,
-            )
+                n_trials,
+                seed=stable_seed("a8", alg, sigma),
+                channel=ShadowingLaw(sigma_db=sigma),
+            ).mean(axis=0)
             rows.append([alg, sigma, schedule.size, float(probs.mean()), float(probs.min())])
     return rows
 

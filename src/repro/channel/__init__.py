@@ -4,17 +4,14 @@
   ``P * d^-alpha`` shared by every law,
 - :mod:`repro.channel.deterministic` — the classical physical (SINR)
   model used by the ApproxLogN / ApproxDiversity baselines,
-- :mod:`repro.channel.rayleigh` — the Rayleigh-fading law: per-pair
-  exponential received powers (Eq. 5), the closed-form success
-  probability of Theorem 3.1, and fading samplers,
-- :mod:`repro.channel.nakagami` — Nakagami-m fading (Gamma-distributed
-  instantaneous power; ``m = 1`` is Rayleigh, larger ``m`` milder),
-- :mod:`repro.channel.shadowing` — log-normal shadowing and the Suzuki
-  shadowing x Rayleigh composite,
+- :mod:`repro.channel.rayleigh` — the Rayleigh-fading law's analytic
+  side: the received-power CDF (Eq. 5) and the closed-form success
+  probability of Theorem 3.1,
 - :mod:`repro.channel.laws` — the pluggable :class:`ChannelLaw`
   interface and registry (``rayleigh`` | ``nakagami`` | ``shadowing`` |
   ``deterministic``) the simulator, experiments and CLI select from
-  (see ``docs/CHANNELS.md``),
+  (see ``docs/CHANNELS.md``); Nakagami-m fading and the Suzuki
+  shadowing x Rayleigh composite live here,
 - :mod:`repro.channel.sampling` — batched and streaming (memory-bounded)
   Monte-Carlo draws consumed by :mod:`repro.sim`, parametrised by a
   channel law.
@@ -32,20 +29,8 @@ from repro.channel.laws import (
     get_channel_law,
     register_channel_law,
 )
-from repro.channel.nakagami import (
-    NakagamiChannel,
-    fading_severity_sweep,
-    sample_nakagami_trials,
-    sample_received_power_nakagami,
-    success_probability_nakagami,
-)
 from repro.channel.pathloss import mean_received_power, pathloss_matrix
-from repro.channel.rayleigh import (
-    RayleighChannel,
-    received_power_cdf,
-    sample_received_power,
-    success_probability,
-)
+from repro.channel.rayleigh import received_power_cdf, success_probability
 from repro.channel.sampling import (
     DEFAULT_MAX_BYTES,
     fading_means,
@@ -53,19 +38,13 @@ from repro.channel.sampling import (
     sample_fading_trials,
     trial_chunk_size,
 )
-from repro.channel.shadowing import (
-    sample_shadowed_trials,
-    success_probability_shadowed,
-)
 
 __all__ = [
     "mean_received_power",
     "pathloss_matrix",
     "deterministic_sinr",
     "deterministic_success",
-    "RayleighChannel",
     "received_power_cdf",
-    "sample_received_power",
     "success_probability",
     "sample_fading_trials",
     "iter_fading_trials",
@@ -82,13 +61,4 @@ __all__ = [
     "get_channel_law",
     "register_channel_law",
     "channel_law_names",
-    # Nakagami-m module surface
-    "NakagamiChannel",
-    "sample_nakagami_trials",
-    "sample_received_power_nakagami",
-    "success_probability_nakagami",
-    "fading_severity_sweep",
-    # shadowing module surface
-    "sample_shadowed_trials",
-    "success_probability_shadowed",
 ]

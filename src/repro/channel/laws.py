@@ -1,9 +1,6 @@
 """Pluggable channel laws: one interface, every fading model.
 
-The simulator historically drew Rayleigh fading inline; the shadowing
-and Nakagami modules existed but nothing in :mod:`repro.sim`,
-:mod:`repro.experiments` or the CLI could select them.  This module
-turns "which channel?" into data: a :class:`ChannelLaw` bundles
+Turns "which channel?" into data: a :class:`ChannelLaw` bundles
 
 - the deterministic mean-power matrix (shared
   :func:`~repro.channel.sampling.fading_means` path loss x transmit
@@ -57,9 +54,18 @@ from typing import Any, Dict, Optional, Tuple, Type, Union
 import numpy as np
 
 from repro.channel.sampling import fading_means
-from repro.channel.shadowing import _lognormal_factor
 from repro.utils.rng import spawn_rngs
-from repro.utils.validation import check_positive
+from repro.utils.validation import check_finite, check_positive
+
+_LN10_OVER_10 = np.log(10.0) / 10.0
+
+
+def _lognormal_factor(rng: np.random.Generator, sigma_db: float, shape: tuple) -> np.ndarray:
+    """Sample the unit-mean shadowing gain ``10^(G/10)``, ``G ~ N(0, sigma_db)``."""
+    sigma_nat = sigma_db * _LN10_OVER_10
+    gains = np.exp(rng.normal(0.0, sigma_nat, size=shape))
+    gains /= np.exp(0.5 * sigma_nat**2)  # E[lognormal] correction
+    return gains
 
 
 @dataclass(frozen=True)
@@ -194,6 +200,7 @@ class NakagamiLaw(ChannelLaw):
     m: float = 1.0
 
     def __post_init__(self) -> None:
+        check_finite(self.m, "m")
         check_positive(self.m, "m")
 
     @property
@@ -232,8 +239,10 @@ class ShadowingLaw(ChannelLaw):
     static: bool = False
 
     def __post_init__(self) -> None:
-        if self.sigma_db < 0:
-            raise ValueError(f"sigma_db must be >= 0, got {self.sigma_db}")
+        check_finite(self.sigma_db, "sigma_db")
+        check_positive(self.sigma_db, "sigma_db", strict=False)
+        if not isinstance(self.static, bool):
+            raise ValueError(f"static must be true or false, got {self.static!r}")
 
     @property
     def has_closed_form(self) -> bool:
@@ -255,7 +264,7 @@ class ShadowingLaw(ChannelLaw):
             return rng
         shadow_rng, ray_rng = spawn_rngs(rng, 2)
         if self.static:
-            factor = _lognormal_factor(shadow_rng, self.sigma_db, means.shape, True)
+            factor = _lognormal_factor(shadow_rng, self.sigma_db, means.shape)
             return (factor, ray_rng)
         return (shadow_rng, ray_rng)
 
@@ -271,7 +280,7 @@ class ShadowingLaw(ChannelLaw):
         if self.static:
             z *= shadow_state[None, :, :]
         else:
-            z *= _lognormal_factor(shadow_state, self.sigma_db, (t_c, k, k), True)
+            z *= _lognormal_factor(shadow_state, self.sigma_db, (t_c, k, k))
         z *= means[None, :, :]
         return z
 

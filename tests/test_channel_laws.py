@@ -84,10 +84,18 @@ class TestRegistry:
             get_channel_law("nakagami:k=2")
 
     def test_bad_param_value_rejected(self):
-        with pytest.raises(ValueError):
-            get_channel_law("nakagami:m=-1")
-        with pytest.raises(ValueError):
-            get_channel_law("shadowing:sigma_db=-3")
+        for spec in (
+            "nakagami:m=-1",
+            "nakagami:m=inf",
+            "nakagami:m=nan",
+            "shadowing:sigma_db=-3",
+            "shadowing:sigma_db=nan",
+            "shadowing:sigma_db=inf",
+            "shadowing:sigma_db=-inf",
+            "shadowing:sigma_db=6,static=2",
+        ):
+            with pytest.raises(ValueError):
+                get_channel_law(spec)
 
     def test_duplicate_registration_rejected(self):
         class ImpostorLaw(RayleighLaw):
@@ -235,10 +243,6 @@ class TestImportSurface:
             "get_channel_law",
             "register_channel_law",
             "channel_law_names",
-            "sample_nakagami_trials",
-            "success_probability_nakagami",
-            "sample_shadowed_trials",
-            "success_probability_shadowed",
         ):
             assert name in channel_pkg.__all__
             assert hasattr(channel_pkg, name)

@@ -8,12 +8,15 @@ under exponential fading.
 import numpy as np
 import pytest
 
-from repro.channel.rayleigh import (
-    RayleighChannel,
-    received_power_cdf,
-    sample_received_power,
-    success_probability,
-)
+from repro.channel.laws import RayleighLaw, get_channel_law
+from repro.channel.rayleigh import received_power_cdf, success_probability
+from repro.channel.sampling import sample_fading_trials
+
+
+def rayleigh_powers(distance, size, seed):
+    """``size`` trials of the ``(N, N)`` fading powers at ``distance``."""
+    d = np.atleast_2d(np.asarray(distance, dtype=float))
+    return sample_fading_trials(d, np.arange(d.shape[0]), 3.0, size, seed=seed)
 
 
 class TestReceivedPowerCdf:
@@ -38,27 +41,29 @@ class TestReceivedPowerCdf:
 
 
 class TestSampleReceivedPower:
+    """The Eq. 5 law as drawn by the Monte-Carlo sampler."""
+
     def test_mean_matches_pathloss(self):
-        s = sample_received_power(10.0, alpha=3.0, size=200_000, seed=0)
+        s = rayleigh_powers(10.0, 200_000, seed=0)
         assert np.mean(s) == pytest.approx(10.0**-3, rel=0.02)
 
     def test_shape_with_matrix(self):
         d = np.full((3, 3), 10.0)
-        s = sample_received_power(d, alpha=3.0, size=7, seed=0)
+        s = rayleigh_powers(d, 7, seed=0)
         assert s.shape == (7, 3, 3)
 
     def test_nonnegative(self):
-        s = sample_received_power(5.0, alpha=3.0, size=1000, seed=1)
+        s = rayleigh_powers(5.0, 1000, seed=1)
         assert (s >= 0).all()
 
     def test_reproducible(self):
-        a = sample_received_power(5.0, alpha=3.0, size=10, seed=3)
-        b = sample_received_power(5.0, alpha=3.0, size=10, seed=3)
+        a = rayleigh_powers(5.0, 10, seed=3)
+        b = rayleigh_powers(5.0, 10, seed=3)
         np.testing.assert_array_equal(a, b)
 
     def test_exponential_distribution(self):
         # CDF at the mean should be 1 - 1/e.
-        s = sample_received_power(10.0, alpha=3.0, size=100_000, seed=2)
+        s = rayleigh_powers(10.0, 100_000, seed=2)
         frac = np.mean(s <= 10.0**-3)
         assert frac == pytest.approx(1 - np.exp(-1), abs=0.01)
 
@@ -154,24 +159,33 @@ class TestLaplaceTransformIdentity:
 
 
 class TestRayleighChannel:
+    """:class:`RayleighLaw`, the channel object the simulator selects."""
+
     def test_facade_consistency(self):
-        ch = RayleighChannel(alpha=3.0)
-        d = two_link_distances()
+        from repro.core.problem import FadingRLS
+        from repro.network.topology import paper_topology
+
+        problem = FadingRLS(links=paper_topology(6, seed=0), alpha=3.0)
+        active = np.array([0, 2, 5])
         np.testing.assert_allclose(
-            ch.success_probability(d, np.array([0, 1]), gamma_th=1.0),
-            success_probability(d, np.array([0, 1]), 3.0, 1.0),
+            RayleighLaw().success_probability(problem, active),
+            success_probability(problem.distances(), active, 3.0, 1.0),
         )
 
     def test_mean_power(self):
-        ch = RayleighChannel(alpha=2.0, power=3.0)
-        assert ch.mean_power(2.0) == pytest.approx(0.75)
+        idx, means = RayleighLaw().mean_power(np.array([[2.0]]), np.array([0]), 2.0, power=3.0)
+        np.testing.assert_array_equal(idx, [0])
+        assert means[0, 0] == pytest.approx(0.75)
 
     def test_invalid_params(self):
+        # alpha and power belong to the problem, not the law.
         with pytest.raises(ValueError):
-            RayleighChannel(alpha=-1.0)
+            get_channel_law("rayleigh:alpha=-1")
         with pytest.raises(ValueError):
-            RayleighChannel(alpha=3.0, power=0.0)
+            get_channel_law("rayleigh:power=0")
 
     def test_sample_shape(self):
-        ch = RayleighChannel(alpha=3.0)
-        assert np.asarray(ch.sample(10.0, size=5, seed=0)).shape == (5,)
+        z = sample_fading_trials(
+            np.array([[10.0]]), np.array([0]), 3.0, 5, seed=0, law=RayleighLaw()
+        )
+        assert z.shape == (5, 1, 1)

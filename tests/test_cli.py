@@ -97,26 +97,22 @@ class TestQueue:
         assert (
             main(
                 [
-                    "queue",
+                    "traffic",
                     "--n-links",
                     "40",
                     "--slots",
                     "50",
-                    "--arrival-rate",
+                    "--rate",
                     "0.05",
                     "--algorithm",
                     "greedy",
+                    "--no-stability",
                 ]
             )
             == 0
         )
         out = capsys.readouterr().out
-        assert "slot efficiency" in out
-
-    def test_from_file(self, tmp_path, capsys):
-        links = tmp_path / "links.csv"
-        main(["generate", str(links), "--n-links", "30", "--seed", "4"])
-        assert main(["queue", "--input", str(links), "--slots", "30"]) == 0
+        assert "failed attempts" in out
 
 
 class TestVerify:
