@@ -24,16 +24,19 @@ Each law consumes its generator(s) element-wise in C order over the
 ``(T, K, K)`` index space, so drawing ``(t1, K, K)`` then ``(t2, K, K)``
 concatenates to the same bits as one ``(t1 + t2, K, K)`` draw:
 
-- ``rayleigh`` uses the single exponential stream of
-  :mod:`repro.channel.sampling` (bit-identical to the legacy inline
-  draw, which remains the fast path);
+- ``rayleigh`` fills one exponential stream, means scaled in after the
+  draw (the layout :mod:`repro.channel.sampling` documents).  The
+  simulator replays Rayleigh through per-link uniforms instead
+  (:func:`repro.sim.montecarlo.factorised_replay`); this sampler is the
+  reference the ``rayleigh-factorised-vs-stream`` check holds it to;
 - ``nakagami`` fills one gamma stream the same way;
 - ``shadowing`` splits the root generator into **two** spawned
   sub-streams (shadow gains, then Rayleigh variates), each consumed in
   C order, so per-chunk interleaving cannot shift either stream.  At
-  ``sigma_db = 0`` it skips the split and delegates to the exact
-  Rayleigh draw — the ``shadowing-zero-recovers-rayleigh`` relation
-  pins bit-level recovery;
+  ``sigma_db = 0`` it skips the split and draws the exact Rayleigh
+  stream (and the simulator replays it like Rayleigh) — the
+  ``shadowing-zero-recovers-rayleigh`` relation pins bit-level
+  recovery;
 - ``deterministic`` consumes no randomness at all.
 
 Feasibility contract
@@ -160,10 +163,10 @@ def _closed_form_rayleigh(problem, active) -> np.ndarray:
 class RayleighLaw(ChannelLaw):
     """The paper's channel: exponential power around the mean (Eq. 5).
 
-    Closed form: Thm 3.1.  The sampler is bit-identical to the legacy
-    inline draw of :mod:`repro.channel.sampling` (one exponential
-    stream, C order, means scaled in after the draw); the streaming
-    sampler short-circuits to that inline path when it sees this law.
+    Closed form: Thm 3.1.  The sampler draws one exponential stream in
+    C order, means scaled in after the draw.  The Monte-Carlo replay
+    does not call it: it draws each link's success directly at the
+    closed form (see :func:`repro.sim.montecarlo.factorised_replay`).
     """
 
     name = "rayleigh"

@@ -1,38 +1,46 @@
 """Batched and streaming Monte-Carlo fading draws.
 
-The simulator needs many independent realisations of the full
-interference matrix restricted to an active set.  Sampling the ``(K, K)``
-sub-matrix ``T`` times in one exponential draw keeps the hot path inside
-NumPy (guide: one big vectorised draw beats ``T`` small ones) — but the
-dense ``(T, K, K)`` tensor is ~20 GB at paper-grade settings
-(``K = 500``, ``T = 10_000``).  :func:`iter_fading_trials` therefore
-streams the same draw in trial chunks under a byte budget; consumers
-reduce each chunk (SINR, success counts) and discard it.
+The simulator (:func:`repro.sim.montecarlo.simulate_trials`) replays a
+schedule through one of two RNG streams, picked by the channel law:
+
+- **the uniform stream** — Rayleigh (``channel=None``) and
+  ``shadowing:sigma_db=0``.  Link ``j``'s success in a trial reads only
+  column ``j`` of the fading matrix, and the columns are disjoint sets
+  of independent draws, so the links of one trial succeed
+  independently, each with Thm 3.1's probability ``p_j`` (the product
+  form).  The replay therefore draws one ``(T, K)`` block of
+  ``Generator.random`` uniforms, C order (trial-major, then link), and
+  sets ``success[t, j] = U[t, j] < p_j``;
+- **the fading stream** — every other law (Nakagami at any ``m``,
+  shadowing with ``sigma_db > 0``, deterministic).  The replay draws
+  ``(T, K, K)`` instantaneous power matrices and reduces them to SINR.
+
+This module holds the fading stream's samplers and the byte budgets of
+both streams.  Sampling the ``(K, K)`` sub-matrix ``T`` times in one
+draw keeps the hot path inside NumPy — but the dense ``(T, K, K)``
+tensor is ~20 GB at paper-grade settings (``K = 500``,
+``T = 10_000``).  :func:`iter_fading_trials` therefore streams the same
+draw in trial chunks under a byte budget; consumers reduce each chunk
+(SINR, success counts) and discard it.
 
 RNG stream layout
 -----------------
-All fading variates come from **one** exponential stream consumed in C
-order over the ``(T, K, K)`` index space: trial-major, then sender ``a``,
-then receiver ``b``.  The diagonal own-signal variates ``Z[t, a, a]``
-are *interleaved* members of that stream (drawn in their natural
-position, not in a separate pass), and the deterministic mean scaling
-``Z *= means`` happens **after** the draw, so it consumes no random
-numbers.  Two consequences the chunked sampler relies on (and the tests
-pin down):
+Both streams are consumed element-wise in C order along the trial axis,
+so drawing ``t1`` trials and then ``t2`` trials from one generator
+concatenates to the identical values as one ``t1 + t2`` draw — same
+seed, same successes, any chunk size.  The layouts are a public
+contract: an alternative sampler that reordered either stream would
+silently break seed-compatibility with recorded results.
 
-1. chunking along the trial axis is *exact*: drawing ``(t1, K, K)`` then
-   ``(t2, K, K)`` from the same generator concatenates to the identical
-   variates as one ``(t1 + t2, K, K)`` draw — same seed, same successes,
-   any chunk size;
-2. the layout is a public contract: any alternative sampler (e.g. one
-   that drew the diagonal separately, or scaled before drawing) would
-   silently break seed-compatibility with recorded results.
-
-The default draw is Rayleigh (one exponential stream).  Passing ``law=``
-swaps in any registered :class:`~repro.channel.laws.ChannelLaw`
-(Nakagami-m, Suzuki shadowing, deterministic); every law honours the
-same chunk-invariance contract — see :mod:`repro.channel.laws` for how
-each one lays out its stream(s).
+In the fading stream each law fills the ``(T, K, K)`` index space
+trial-major, then sender ``a``, then receiver ``b``.  Rayleigh's
+diagonal own-signal variates ``Z[t, a, a]`` are *interleaved* members
+of its one exponential stream (drawn in their natural position, not in
+a separate pass), and the deterministic mean scaling ``Z *= means``
+happens **after** the draw, so it consumes no random numbers.  Every
+registered :class:`~repro.channel.laws.ChannelLaw` samples through its
+own ``sample_chunk`` — see :mod:`repro.channel.laws` for how each one
+lays out its stream(s).  ``law=None`` is the Rayleigh law.
 """
 
 from __future__ import annotations
@@ -51,10 +59,12 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (laws uses fading_mea
 
 LawLike = Union[None, str, "ChannelLaw"]
 
-#: Default byte budget for one streamed chunk of fading trials
-#: (see :func:`iter_fading_trials`).  128 MiB keeps the hot loop well
-#: inside cache-friendly territory while still batching thousands of
-#: trials for small ``K``.
+#: Default byte budget for one streamed chunk of trials (see
+#: :func:`trial_chunk_size` and :func:`uniform_chunk_size`).  A cap on
+#: transient memory, not a cache fit — 128 MiB is far larger than any
+#: CPU cache.  It holds a paper-scale replay (``T = 500``, ``K <= 500``)
+#: of the uniform stream in one chunk, and bounds the fading stream's
+#: ``(t_c, K, K)`` chunks at large ``K``.
 DEFAULT_MAX_BYTES: int = 128 * 2**20
 
 
@@ -101,29 +111,26 @@ def fading_means(
     return idx, means
 
 
-def _resolve_law(law: LawLike):
-    """Resolve ``law`` to a :class:`~repro.channel.laws.ChannelLaw`, or
-    ``None`` for the default Rayleigh fast path.
+def _resolve_law(law: LawLike) -> "ChannelLaw":
+    """Resolve ``law`` (``None`` = Rayleigh) to a channel-law instance.
 
-    The Rayleigh law's ``sample_chunk`` is bit-identical to the inline
-    draw below, but the inline path skips the law dispatch, the
-    ``channel.sample`` span and the ``channel.chunks_sampled`` counter —
-    keeping the legacy hot path's bits *and* observability snapshots
-    untouched.  Imported lazily: :mod:`repro.channel.laws` itself imports
+    Imported lazily: :mod:`repro.channel.laws` itself imports
     :func:`fading_means` from this module.
     """
-    if law is None:
-        return None
-    from repro.channel.laws import RayleighLaw, get_channel_law
+    from repro.channel.laws import get_channel_law
 
-    resolved = get_channel_law(law)
-    if type(resolved) is RayleighLaw:
-        return None
-    return resolved
+    return get_channel_law(law)
+
+
+def _budget(max_bytes: int | None) -> int:
+    budget = DEFAULT_MAX_BYTES if max_bytes is None else int(max_bytes)
+    if budget <= 0:
+        raise ValueError(f"max_bytes must be positive, got {max_bytes}")
+    return budget
 
 
 def trial_chunk_size(k: int, max_bytes: int | None) -> int:
-    """Trials per streamed chunk under a byte budget.
+    """Trials per streamed fading chunk under a byte budget.
 
     Half the budget is reserved for the ``(chunk, K, K)`` float64 draw
     itself; the other half covers the reduction temporaries (per-trial
@@ -132,11 +139,18 @@ def trial_chunk_size(k: int, max_bytes: int | None) -> int:
     trial matrix larger than the budget is drawn anyway (there is no
     smaller unit of work).
     """
-    budget = DEFAULT_MAX_BYTES if max_bytes is None else int(max_bytes)
-    if budget <= 0:
-        raise ValueError(f"max_bytes must be positive, got {max_bytes}")
     per_trial = 8 * max(k, 1) * max(k, 1)
-    return max(1, (budget // 2) // per_trial)
+    return max(1, (_budget(max_bytes) // 2) // per_trial)
+
+
+def uniform_chunk_size(k: int, max_bytes: int | None) -> int:
+    """Trials per chunk of the uniform stream under a byte budget.
+
+    One trial is ``K`` float64 uniforms (``8 K`` bytes); the success
+    slab they are compared into is part of the replay's result, not a
+    temporary.  Always at least 1.
+    """
+    return max(1, _budget(max_bytes) // (8 * max(k, 1)))
 
 
 def iter_fading_trials(
@@ -171,9 +185,8 @@ def iter_fading_trials(
         ``max_bytes``.
     law:
         Channel law (spec string or :class:`~repro.channel.laws.ChannelLaw`)
-        supplying the random factor; ``None``/Rayleigh keeps the inline
-        exponential draw.  Every registered law honours the same
-        chunk-invariant stream contract.
+        supplying the random factor; ``None`` is Rayleigh.  Every
+        registered law honours the same chunk-invariant stream contract.
     """
     if n_trials < 0:
         raise ValueError("n_trials must be >= 0")
@@ -187,18 +200,12 @@ def iter_fading_trials(
         chunk_trials = trial_chunk_size(k, max_bytes)
     elif chunk_trials < 1:
         raise ValueError(f"chunk_trials must be >= 1, got {chunk_trials}")
-    rng = as_rng(seed)
-    state = None if resolved is None else resolved.start_stream(rng, means)
+    state = resolved.start_stream(as_rng(seed), means)
     done = 0
     while done < n_trials:
         t_c = min(chunk_trials, n_trials - done)
-        if resolved is None:
-            z = rng.exponential(1.0, size=(t_c, k, k))
-            z *= means[None, :, :]
-        else:
-            with span("channel.sample", law=resolved.name, trials=t_c):
-                z = resolved.sample_chunk(state, means, t_c)
-            obs_metrics.inc("channel.chunks_sampled")
+        with span("channel.sample", law=resolved.name, trials=t_c):
+            z = resolved.sample_chunk(state, means, t_c)
         obs_metrics.inc("mc.chunks_sampled")
         yield z
         # Drop our reference before drawing the next chunk so only one
@@ -224,7 +231,10 @@ def sample_fading_trials(
     replays and tests; the simulator's hot path streams the same values
     through :func:`iter_fading_trials` instead.  ``law`` selects the
     channel law (``None`` = Rayleigh); for every registered law the
-    result is bit-identical to concatenating the streamed chunks.
+    result is bit-identical to concatenating the streamed chunks.  (The
+    simulator replays Rayleigh through the uniform stream instead — see
+    the module docstring — so this is the reference it is checked
+    against, not its input.)
 
     Parameters
     ----------
@@ -253,12 +263,7 @@ def sample_fading_trials(
     k = idx.size
     if k == 0 or n_trials == 0:
         return np.zeros((n_trials, k, k), dtype=float)
-    rng = as_rng(seed)
-    if resolved is None:
-        z = rng.exponential(1.0, size=(n_trials, k, k))
-        z *= means[None, :, :]
-        return z
-    state = resolved.start_stream(rng, means)
+    state = resolved.start_stream(as_rng(seed), means)
     return resolved.sample_chunk(state, means, n_trials)
 
 

@@ -78,7 +78,7 @@ from repro.obs import state as _obs_state
 from repro.obs import trace as _obs_trace
 from repro.obs.trace import span
 from repro.sim.metrics import SimulationResult
-from repro.sim.montecarlo import simulate_schedule
+from repro.sim.montecarlo import factorised_replay, simulate_schedule
 from repro.utils.rng import stable_seed
 
 T = TypeVar("T")
@@ -181,30 +181,33 @@ def checkpoint_key(unit: WorkUnit) -> str:
     seeds produces a different key, so a checkpoint directory can never
     serve a stale result to a reconfigured sweep.
     """
-    return config_key(
-        "workunit",
-        {
-            "tag": repr(unit.tag),
-            "rep": unit.rep,
-            "name": unit.name,
-            "scheduler": _describe_callable(unit.scheduler),
-            "workload": _describe_callable(unit.workload),
-            "n_trials": unit.n_trials,
-            "alpha": unit.alpha,
-            "gamma_th": unit.gamma_th,
-            "eps": unit.eps,
-            "noise": unit.noise,
-            "root_seed": unit.root_seed,
-            "scheduler_kwargs": sorted(
-                (k, repr(v)) for k, v in dict(unit.scheduler_kwargs).items()
-            ),
-            # Canonical law spec, so "shadowing:sigma_db=6" and its
-            # fully-spelled form hash the same; None normalises to the
-            # Rayleigh default.
-            "channel": _canonical_channel(unit.channel),
-            "power_policy": unit.power_policy,
-        },
-    )
+    params = {
+        "tag": repr(unit.tag),
+        "rep": unit.rep,
+        "name": unit.name,
+        "scheduler": _describe_callable(unit.scheduler),
+        "workload": _describe_callable(unit.workload),
+        "n_trials": unit.n_trials,
+        "alpha": unit.alpha,
+        "gamma_th": unit.gamma_th,
+        "eps": unit.eps,
+        "noise": unit.noise,
+        "root_seed": unit.root_seed,
+        "scheduler_kwargs": sorted(
+            (k, repr(v)) for k, v in dict(unit.scheduler_kwargs).items()
+        ),
+        # Canonical law spec, so "shadowing:sigma_db=6" and its
+        # fully-spelled form hash the same; None normalises to the
+        # Rayleigh default.
+        "channel": _canonical_channel(unit.channel),
+        "power_policy": unit.power_policy,
+    }
+    if factorised_replay(unit.channel):
+        # Checkpoints written before the factorised replay hold
+        # fading-stream results for these laws; the marker keeps them
+        # from being served.  Stream-law keys are unchanged.
+        params["replay"] = "factorised"
+    return config_key("workunit", params)
 
 
 def valid_simulation_result(value: Any) -> bool:

@@ -1,13 +1,13 @@
-"""Channel-law oracles: metamorphic relations and a differential check.
+"""Channel-law oracles: metamorphic relations and differential checks.
 
 The pluggable channel laws (:mod:`repro.channel.laws`) come with three
-paper-derived invariants and one redundant-path comparison, all run by
+paper-derived invariants and two redundant-path comparisons, all run by
 the harness over the fuzzer's adversarial scenarios:
 
 - ``shadowing-zero-recovers-rayleigh`` — the Suzuki composite at
   ``sigma_db = 0`` must reproduce the Rayleigh replay **bit for bit**
-  (the law delegates to the exact inline draw; any stream drift breaks
-  seed-compatibility silently);
+  (both take the factorised replay, and the law's own sampler draws the
+  exact Rayleigh stream; any drift breaks seed-compatibility silently);
 - ``nakagami-unit-closed-form`` — Nakagami ``m = 1`` *is* Rayleigh in
   distribution, so its Monte-Carlo success rates must match the
   Thm 3.1 closed form within 5-sigma Monte-Carlo bounds (the gamma
@@ -20,7 +20,14 @@ the harness over the fuzzer's adversarial scenarios:
   bit-identical to an explicit ``"rayleigh"`` spec, every registered
   law must be chunk-invariant (streamed chunks concatenate to the
   batched draw), and the deterministic law's empirical success rates
-  must equal its 0/1 closed form exactly.
+  must equal its 0/1 closed form exactly;
+- ``rayleigh-factorised-vs-stream`` (differential) — the factorised
+  Rayleigh replay (independent per-link Bernoulli draws at Thm 3.1's
+  ``p``) against SINR reduced from the ``(T, K, K)`` exponential
+  stream: per-link success rates must agree within a paired 5-sigma
+  bound, and on *both* paths the per-trial failure count must have the
+  Poisson-binomial variance ``sum p (1 - p)`` — the independence of
+  links within a trial that the factorisation rests on.
 
 Reason codes are stable strings (``docs/VERIFICATION.md``).
 """
@@ -31,7 +38,12 @@ from typing import List
 
 import numpy as np
 
-from repro.channel.sampling import iter_fading_trials, sample_fading_trials
+from repro.channel.rayleigh import success_probability
+from repro.channel.sampling import (
+    instantaneous_sinr,
+    iter_fading_trials,
+    sample_fading_trials,
+)
 from repro.sim.montecarlo import simulate_trials
 from repro.utils.rng import stable_seed
 from repro.verify.differential import register_differential
@@ -46,10 +58,17 @@ CODE_NAKAGAMI_MONOTONICITY = "nakagami-m-monotonicity-violation"
 CODE_CHANNEL_RAYLEIGH = "channel-rayleigh-divergence"
 CODE_CHANNEL_CHUNK = "channel-chunk-divergence"
 CODE_DETERMINISTIC_CLOSED_FORM = "deterministic-closed-form-divergence"
+CODE_FACTORISED_RATE = "factorised-rate-divergence"
+CODE_FAILURE_VARIANCE = "failure-count-variance-divergence"
 
 #: Monte-Carlo trials for the statistical relations — matches the
 #: analytic-vs-montecarlo check's budget/bound trade-off.
 _N_TRIALS = 1500
+
+#: Trials per path of ``rayleigh-factorised-vs-stream``: enough that a
+#: ``p -> p**1.2`` distortion (up to ~0.067 at ``p ~ 0.4``) clears the
+#: paired 5-sigma bound.
+_FACTORISED_TRIALS = 10_000
 
 #: Nakagami shape grid for the monotonicity relation.  Restricted to
 #: ``m >= 1``: milder-than-Rayleigh fading is where monotone improvement
@@ -257,4 +276,80 @@ def check_channel_vs_rayleigh(scenario: Scenario) -> List[Mismatch]:
                 closed_form=[float(x) for x in closed],
             )
         )
+    return out
+
+
+@register_differential("rayleigh-factorised-vs-stream")
+def check_rayleigh_factorised_vs_stream(scenario: Scenario) -> List[Mismatch]:
+    """Factorised Rayleigh replay vs the ``(T, K, K)`` exponential stream."""
+    p = scenario.problem
+    active = np.arange(min(p.n_links, 16))
+    if active.size == 0:
+        return []
+    n = _FACTORISED_TRIALS
+    prob = success_probability(
+        p.distances(), active, p.alpha, p.gamma_th, noise=p.noise, power=p.tx_powers()
+    )
+    z = sample_fading_trials(
+        p.distances(),
+        active,
+        p.alpha,
+        n,
+        power=p.tx_powers(),
+        seed=stable_seed("factorised-stream", root=scenario.seed),
+        law="rayleigh",
+    )
+    paths = {
+        "factorised": simulate_trials(
+            p, active, n, seed=stable_seed("factorised", root=scenario.seed)
+        ),
+        "stream": instantaneous_sinr(z, noise=p.noise) >= p.gamma_th,
+    }
+    del z
+    out: List[Mismatch] = []
+
+    # 1. Per-link rates: two independent estimates of the same p.
+    gap = np.abs(paths["factorised"].mean(axis=0) - paths["stream"].mean(axis=0))
+    bound = 5.0 * np.sqrt(2.0 * prob * (1.0 - prob) / n) + 6.0 / n
+    bad = gap > bound
+    if np.any(bad):
+        worst = int(np.argmax(gap - bound))
+        out.append(
+            _mismatch(
+                "rayleigh-factorised-vs-stream",
+                scenario,
+                CODE_FACTORISED_RATE,
+                f"factorised and stream success rates differ beyond the paired "
+                f"5-sigma bound on {int(bad.sum())}/{active.size} links (worst: "
+                f"link {int(active[worst])}, gap {gap[worst]:.4f} > "
+                f"{bound[worst]:.4f}, Thm 3.1 p = {prob[worst]:.4f})",
+                n_trials=n,
+                links_out_of_bound=int(bad.sum()),
+            )
+        )
+
+    # 2. Independence: Var(failures per trial) = sum p(1 - p).  The
+    # sample variance's standard error uses the Poisson-binomial fourth
+    # central moment; 5/n absorbs the discreteness of rare failures.
+    pq = prob * (1.0 - prob)
+    var = float(pq.sum())
+    se = float(np.sqrt((np.sum(pq * (1.0 - 6.0 * pq)) + 2.0 * var**2) / n))
+    for path, success in paths.items():
+        observed = float((active.size - success.sum(axis=1)).var())
+        if abs(observed - var) > 5.0 * se + 5.0 / n:
+            out.append(
+                _mismatch(
+                    "rayleigh-factorised-vs-stream",
+                    scenario,
+                    CODE_FAILURE_VARIANCE,
+                    f"{path} replay: per-trial failure-count variance "
+                    f"{observed:.4f} vs sum p(1-p) = {var:.4f} "
+                    f"(5-sigma {5.0 * se + 5.0 / n:.4f}) — links are not "
+                    "independent within a trial",
+                    path=path,
+                    observed=observed,
+                    expected=var,
+                    n_trials=n,
+                )
+            )
     return out

@@ -9,8 +9,9 @@ reports structured :class:`~repro.verify.report.Mismatch` records:
   MILP must find the same optimum rate, and every output must pass the
   independent feasibility certificate;
 - ``analytic-vs-montecarlo`` — Thm 3.1's closed-form success
-  probabilities against empirical frequencies from the streaming
-  replay, with a 5-sigma binomial confidence bound;
+  probabilities (from the cached F matrix) against empirical
+  frequencies from the replay, with a 5-sigma binomial confidence
+  bound;
 - ``serial-vs-parallel`` — the ``n_jobs=1`` in-process path and the
   ``n_jobs=2`` process-pool path must be *bit-identical* (PR-1's
   contract);
@@ -29,9 +30,10 @@ reports structured :class:`~repro.verify.report.Mismatch` records:
   warm-start-repaired schedules;
 - ``backend-vs-numpy`` — every *available* compute backend
   (:mod:`repro.backend`) against the numpy reference: bit-identical F
-  matrices and Monte-Carlo success bits, identical feasibility
-  verdicts, and a sharedmem fan-out whose per-unit results are
-  bit-identical to the serial numpy path for ``n_jobs`` in {1, 2, 4}.
+  matrices and Monte-Carlo success bits (Rayleigh and a fading-stream
+  law), identical feasibility verdicts, and a sharedmem fan-out whose
+  per-unit results are bit-identical to the serial numpy path for
+  ``n_jobs`` in {1, 2, 4}.
 
 Checks are callables ``(Scenario) -> list[Mismatch]`` registered in
 :data:`DIFFERENTIAL_CHECKS`; the harness composes them with the
@@ -82,6 +84,10 @@ CODE_BACKEND_FANOUT = "backend-fanout-divergence"
 #: Exact solvers are exponential; differential scenarios restrict to
 #: this many links before enumerating.
 EXACT_CHECK_LINKS = 10
+
+#: A fading-stream channel law for ``backend-vs-numpy``: Rayleigh
+#: replays draw factorised uniforms and never reach a backend kernel.
+BACKEND_STREAM_LAW = "nakagami:m=2"
 
 DIFFERENTIAL_CHECKS: Dict[str, CheckFn] = {}
 
@@ -550,7 +556,9 @@ def check_backend_vs_numpy(scenario: Scenario) -> List[Mismatch]:
        the O(K^2) gathered reduction may differ from the reference
        matvec in the last ulp, the boolean answer may not);
     3. Monte-Carlo success bits are identical (one RNG stream layout,
-       one reduction recipe).
+       one reduction recipe) — under the default Rayleigh channel and
+       under :data:`BACKEND_STREAM_LAW`, whose fading stream runs
+       through the backend's ``mc_success_chunk`` reduction.
 
     A fourth contract covers the sharedmem zero-copy fan-out: the same
     unit grid executed with ``backend='sharedmem'`` must return results
@@ -570,9 +578,11 @@ def check_backend_vs_numpy(scenario: Scenario) -> List[Mismatch]:
         ref = _fresh_problem(p)
         ref_f = ref.interference_matrix()
         ref_verdicts = [ref.is_feasible(a) for a in probes]
-        ref_success = (
-            simulate_trials(ref, witness, 48, seed=mc_seed) if witness.size else None
-        )
+        ref_success = {
+            law: simulate_trials(ref, witness, 48, seed=mc_seed, channel=law)
+            for law in (None, BACKEND_STREAM_LAW)
+            if witness.size
+        }
 
     for name in backend_base.BACKEND_NAMES:
         if name == "numpy":
@@ -611,17 +621,19 @@ def check_backend_vs_numpy(scenario: Scenario) -> List[Mismatch]:
                             active=[int(i) for i in active],
                         )
                     )
-            if ref_success is not None:
-                success = simulate_trials(fresh, witness, 48, seed=mc_seed)
-                if not np.array_equal(success, ref_success):
+            for law, ref_bits in ref_success.items():
+                success = simulate_trials(fresh, witness, 48, seed=mc_seed, channel=law)
+                if not np.array_equal(success, ref_bits):
                     out.append(
                         _mismatch(
                             "backend-vs-numpy",
                             scenario,
                             CODE_BACKEND_MC,
-                            f"backend {name!r}: Monte-Carlo success bits "
-                            f"diverge from the numpy reference",
+                            f"backend {name!r}: Monte-Carlo success bits under "
+                            f"channel {law or 'rayleigh'!r} diverge from the "
+                            f"numpy reference",
                             backend=name,
+                            channel=law or "rayleigh",
                             n_trials=48,
                         )
                     )

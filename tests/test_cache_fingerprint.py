@@ -63,7 +63,10 @@ class TestKeyCompatibility:
             root_seed=2017,
             scheduler_kwargs={"c2": 0.5},
         )
-        assert checkpoint_key(unit) == "497fb7cb7e67530b8fbc33c0"
+        # Deliberately re-keyed when Rayleigh units moved to the
+        # factorised replay: the old key ("497fb7cb7e67530b8fbc33c0")
+        # addresses fading-stream results a resumed sweep must not serve.
+        assert checkpoint_key(unit) == "db7371636401493c17a4197a"
 
     def test_checkpoint_key_channel_unit_pinned(self):
         unit = WorkUnit(

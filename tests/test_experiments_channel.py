@@ -92,6 +92,27 @@ class TestCheckpointKey:
             _unit(backend="sharedmem")
         )
 
+    @pytest.mark.parametrize(
+        "channel, rekeyed",
+        [
+            (None, True),
+            ("rayleigh", True),
+            ("shadowing:sigma_db=0", True),
+            ("nakagami:m=1", False),
+            ("nakagami:m=2", False),
+            ("shadowing:sigma_db=6", False),
+            ("deterministic", False),
+        ],
+    )
+    def test_factorised_units_rekeyed(self, monkeypatch, channel, rekeyed):
+        """Only units that take the factorised replay carry its marker, so
+        pre-factorisation checkpoints of exactly those units go stale."""
+        from repro.sim import parallel
+
+        key = checkpoint_key(_unit(channel=channel))
+        monkeypatch.setattr(parallel, "factorised_replay", lambda channel: False)
+        assert (checkpoint_key(_unit(channel=channel)) != key) is rekeyed
+
 
 def _run(*, backend="numpy", n_jobs=1):
     return run_schedulers(

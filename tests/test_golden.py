@@ -99,11 +99,14 @@ class TestParallelGolden:
 
     def test_dls_parallel_golden_values(self, dls_results):
         _, parallel = dls_results
+        # Re-pinned when Rayleigh replays moved to the factorised
+        # uniform stream (the fading-stream values were 0.035 / 14.965
+        # and 0.05 / 21.95).
         assert [r.n_scheduled for r in parallel] == [15, 22]
-        assert parallel[0].mean_failed == pytest.approx(0.035, abs=0)
-        assert parallel[0].mean_throughput == pytest.approx(14.965, abs=0)
-        assert parallel[1].mean_failed == pytest.approx(0.05, abs=0)
-        assert parallel[1].mean_throughput == pytest.approx(21.95, abs=0)
+        assert parallel[0].mean_failed == pytest.approx(0.03, abs=0)
+        assert parallel[0].mean_throughput == pytest.approx(14.97, abs=0)
+        assert parallel[1].mean_failed == pytest.approx(0.04, abs=0)
+        assert parallel[1].mean_throughput == pytest.approx(21.96, abs=0)
 
 
 class TestSimulationGolden:

@@ -26,8 +26,9 @@ class TestChunkedEqualsUnchunked:
             np.testing.assert_array_equal(chunked, reference)
 
     def test_matches_legacy_dense_path(self, paper_problem):
-        """The streamed replay equals one dense (T, K, K) draw + reduce —
-        the seed repository's original computation."""
+        """Under a fading-stream law the streamed replay equals one dense
+        (T, K, K) draw + reduce — the seed repository's original
+        computation."""
         idx = np.arange(paper_problem.n_links)
         z = sample_fading_trials(
             paper_problem.distances(),
@@ -36,9 +37,12 @@ class TestChunkedEqualsUnchunked:
             150,
             power=paper_problem.tx_powers(),
             seed=55,
+            law="nakagami:m=2",
         )
         legacy = instantaneous_sinr(z, noise=paper_problem.noise) >= paper_problem.gamma_th
-        streamed = simulate_trials(paper_problem, idx, 150, seed=55, max_bytes=200_000)
+        streamed = simulate_trials(
+            paper_problem, idx, 150, seed=55, max_bytes=200_000, channel="nakagami:m=2"
+        )
         np.testing.assert_array_equal(streamed, legacy)
 
     def test_summary_identical_across_budgets(self, paper_problem):

@@ -19,10 +19,13 @@ from repro.verify.channels import (
     CODE_CHANNEL_CHUNK,
     CODE_CHANNEL_RAYLEIGH,
     CODE_DETERMINISTIC_CLOSED_FORM,
+    CODE_FACTORISED_RATE,
+    CODE_FAILURE_VARIANCE,
     CODE_NAKAGAMI_CLOSED_FORM,
     CODE_NAKAGAMI_MONOTONICITY,
     CODE_SHADOWING_LIMIT,
     check_channel_vs_rayleigh,
+    check_rayleigh_factorised_vs_stream,
     relation_nakagami_monotonicity,
     relation_nakagami_unit,
     relation_shadowing_zero,
@@ -57,6 +60,12 @@ class TestChecksHoldOnFuzzScenarios:
     def test_differential_passes(self, family):
         scenario = make_scenario(family, 0, root_seed=0)
         assert check_channel_vs_rayleigh(scenario) == []
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_factorised_vs_stream_passes(self, family):
+        for index in range(3):
+            scenario = make_scenario(family, index, root_seed=0)
+            assert check_rayleigh_factorised_vs_stream(scenario) == []
 
 
 def _patched_simulate(monkeypatch, corrupt_channel):
@@ -127,6 +136,55 @@ class TestFaultInjection:
         _patched_simulate(monkeypatch, "deterministic")
         codes = {m.code for m in check_channel_vs_rayleigh(scenario)}
         assert CODE_DETERMINISTIC_CLOSED_FORM in codes
+
+    def test_factorised_rate_divergence(self, monkeypatch):
+        """A replay drawing at ``p**1.2`` instead of Thm 3.1's ``p``."""
+        from repro.sim import montecarlo
+
+        scenario = make_scenario("collinear-gadget", 0, root_seed=0)
+        real = montecarlo.success_probability
+        monkeypatch.setattr(
+            montecarlo, "success_probability", lambda *a, **k: real(*a, **k) ** 1.2
+        )
+        mismatches = check_rayleigh_factorised_vs_stream(scenario)
+        assert mismatches and {m.code for m in mismatches} == {CODE_FACTORISED_RATE}
+
+    def test_failure_variance_divergence_shared_uniform(self, monkeypatch):
+        """A replay comparing one uniform per trial against every link:
+        right marginals, perfectly correlated links."""
+        from repro.sim import montecarlo
+
+        scenario = make_scenario("collinear-gadget", 0, root_seed=0)
+
+        def shared(problem, idx, n0, seed, max_bytes, out):
+            p = montecarlo.success_probability(
+                problem.distances(), idx, problem.alpha, problem.gamma_th,
+                noise=n0, power=problem.tx_powers(),
+            )
+            np.less(np.random.default_rng(seed).random((out.shape[0], 1)), p, out=out)
+
+        monkeypatch.setattr(montecarlo, "_replay_factorised", shared)
+        mismatches = check_rayleigh_factorised_vs_stream(scenario)
+        assert [(m.code, m.details["path"]) for m in mismatches] == [
+            (CODE_FAILURE_VARIANCE, "factorised")
+        ]
+
+    def test_failure_variance_divergence_shared_fading(self, monkeypatch):
+        """A fading stream drawing one exponential per trial for every
+        entry: the independence the factorisation assumes is gone."""
+        from repro.channel.laws import RayleighLaw
+
+        scenario = make_scenario("collinear-gadget", 0, root_seed=0)
+
+        def shared(self, state, means, t_c):
+            return state.exponential(1.0, size=(t_c, 1, 1)) * means[None, :, :]
+
+        monkeypatch.setattr(RayleighLaw, "sample_chunk", shared)
+        codes = {
+            (m.code, m.details.get("path"))
+            for m in check_rayleigh_factorised_vs_stream(scenario)
+        }
+        assert (CODE_FAILURE_VARIANCE, "stream") in codes
 
     def test_mismatches_name_scenario(self, monkeypatch):
         scenario = make_scenario("paper", 0, root_seed=0)

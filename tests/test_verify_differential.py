@@ -3,10 +3,13 @@
 import pytest
 
 from repro.verify.differential import (
+    BACKEND_STREAM_LAW,
     CODE_ANALYTIC_MC,
+    CODE_BACKEND_MC,
     CODE_CACHE,
     DIFFERENTIAL_CHECKS,
     check_analytic_vs_montecarlo,
+    check_backend_vs_numpy,
     check_batched_vs_streaming,
     check_cached_vs_certificate,
     check_exact_vs_ilp,
@@ -16,7 +19,7 @@ from repro.verify.differential import (
 )
 from repro.verify.fuzz import FAMILIES, make_scenario
 from repro.verify import cache as verify_cache  # noqa: F401  (registers cache-vs-fresh)
-from repro.verify import channels  # noqa: F401  (registers channel-vs-rayleigh)
+from repro.verify import channels  # noqa: F401  (registers the channel checks)
 
 
 class TestRegistry:
@@ -31,6 +34,7 @@ class TestRegistry:
             "incremental-vs-scratch",
             "backend-vs-numpy",
             "channel-vs-rayleigh",
+            "rayleigh-factorised-vs-stream",
             "cache-vs-fresh",
             "service-vs-direct",
         }
@@ -106,3 +110,26 @@ class TestFaultInjection:
         # the real path; the check would flag any layout change.
         scenario = make_scenario("collinear-gadget", 0, root_seed=0)
         assert check_batched_vs_streaming(scenario) == []
+
+    def test_backend_mc_divergence_under_stream_law(self, monkeypatch):
+        """A backend whose MC reduction flips one success bit is caught
+        through the fading-stream law; the factorised Rayleigh replay
+        never calls the kernel, so it stays clean."""
+        import numpy as np
+
+        from repro.backend import base as backend_base
+
+        backend = backend_base.resolve("sharedmem")[0]
+        real = backend.mc_success_chunk
+
+        def flipped(z, gamma_th, noise, *, out, scratch=None):
+            real(z, gamma_th, noise, out=out, scratch=scratch)
+            np.logical_not(out[:1, :1], out=out[:1, :1])
+            return out
+
+        monkeypatch.setattr(backend, "mc_success_chunk", flipped)
+        mismatches = [
+            m for m in check_backend_vs_numpy(make_scenario("paper", 0, root_seed=0))
+            if m.code == CODE_BACKEND_MC
+        ]
+        assert [m.details["channel"] for m in mismatches] == [BACKEND_STREAM_LAW]

@@ -22,9 +22,10 @@ class TestCheckResolution:
         assert "lambda-drain" in names  # queue stability
         assert "channel-vs-rayleigh" in names  # channel laws
         assert "nakagami-unit-closed-form" in names
+        assert "rayleigh-factorised-vs-stream" in names
         assert "cache-vs-fresh" in names  # schedule cache
         assert "service-vs-direct" in names  # serving layer
-        assert len(names) == 21
+        assert len(names) == 22
 
     def test_subset_selection(self):
         selected = resolve_checks(["eps-monotonicity", "cached-vs-certificate"])
