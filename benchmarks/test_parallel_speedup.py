@@ -77,58 +77,3 @@ def test_fig5a_parallel_speedup_and_identity():
     elif speedup < 1.0:
         # On CPU-starved machines just sanity-check the overhead stays sane.
         assert parallel_s < serial_s * 25, "process-pool overhead exploded"
-
-
-def test_fig5a_sharedmem_speedup_and_identity():
-    """Zero-copy sharedmem fan-out vs the serial numpy path.
-
-    The sharedmem backend materialises each repetition's problem once
-    in the parent and ships only segment names, so workers skip both
-    the workload regeneration and the O(N^2) matrix builds.  Results
-    must stay byte-identical; the >= 4x speedup criterion applies only
-    where 4 workers can actually run concurrently (>= 4 usable CPUs) —
-    elsewhere the ratio is recorded for the machine-aware bench gate to
-    skip (see tools/bench_gate.py).
-    """
-    serial_cfg = replace(SPEEDUP_CONFIG, n_jobs=1, backend="numpy")
-    shm_cfg = replace(SPEEDUP_CONFIG, n_jobs=4, backend="sharedmem")
-
-    t0 = time.perf_counter()
-    serial = failed_vs_links(serial_cfg)
-    serial_s = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    shm = failed_vs_links(shm_cfg)
-    shm_s = time.perf_counter() - t0
-
-    assert serial.x_values == shm.x_values
-    assert _series_payload(serial) == _series_payload(shm)
-
-    speedup = serial_s / shm_s if shm_s > 0 else float("inf")
-    cpus = available_cpus()
-    bench_export.record(
-        "fig5a_sharedmem_jobs4",
-        shm_s,
-        {
-            "n_links_sweep": list(SPEEDUP_CONFIG.n_links_sweep),
-            "n_repetitions": SPEEDUP_CONFIG.n_repetitions,
-            "n_trials": SPEEDUP_CONFIG.n_trials,
-            "cpus": cpus,
-            "n_jobs": 4,
-            "backend": "sharedmem",
-            "speedup_vs_serial": speedup,
-        },
-    )
-    print(
-        f"\nfig5a sharedmem: serial {serial_s:.2f}s, 4 workers {shm_s:.2f}s, "
-        f"speedup {speedup:.2f}x on {cpus} CPU(s)"
-    )
-    if cpus >= 4:
-        assert speedup >= 4.0, (
-            f"expected >= 4x sharedmem speedup with 4 workers on {cpus} CPUs, "
-            f"got {speedup:.2f}x"
-        )
-    else:
-        # CPU-starved: the zero-copy path must still beat plain 4-worker
-        # pooling (it does strictly less work per unit).
-        assert shm_s < serial_s * 25, "sharedmem fan-out overhead exploded"

@@ -1,10 +1,7 @@
-"""Pluggable compute backends (numpy / sharedmem / numba).
+"""Pluggable compute backends (numpy / numba).
 
 See :mod:`repro.backend.base` for the selection model and
-:mod:`repro.backend.kernels` for the reference kernels.  The
-shared-memory fan-out plane lives in :mod:`repro.backend.sharedmem`;
-it is imported lazily (it depends on the core problem types) — import
-it directly rather than through this package root.
+:mod:`repro.backend.kernels` for the reference kernels.
 """
 
 from repro.backend.base import (  # noqa: F401

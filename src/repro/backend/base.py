@@ -1,24 +1,18 @@
 """Pluggable compute backends for the scheduling/simulation hot path.
 
 A :class:`ComputeBackend` bundles the three kernel entry points the
-rest of the library dispatches through (F-matrix build, Corollary 3.1
-feasibility verdict, Monte-Carlo chunk reduction) plus a flag telling
-the executor layer whether work units should fan out through the
-zero-copy shared-memory plane (:mod:`repro.backend.sharedmem`).
+rest of the library dispatches through: F-matrix build, Corollary 3.1
+feasibility verdict and Monte-Carlo chunk reduction.  Every backend
+fans work units out the same way (:func:`repro.sim.parallel.execute_units`);
+only the kernels differ.
 
-Three backends ship:
+Two backends ship:
 
 ``numpy``
     The reference: vectorised numpy kernels
-    (:mod:`repro.backend.kernels`), plain pickling fan-out.  Always
-    available; every other backend is pinned bit-identical to it by the
-    ``backend-vs-numpy`` differential check.
-``sharedmem``
-    Same numpy kernels, but :func:`repro.sim.parallel.execute_units`
-    materialises each repetition's problem (coordinates, distance
-    matrix, F matrix) **once** in the parent and shares it with workers
-    through ``multiprocessing.shared_memory`` — work units cross the
-    process boundary carrying segment names instead of arrays.
+    (:mod:`repro.backend.kernels`).  Always available; every other
+    backend is pinned bit-identical to it by the ``backend-vs-numpy``
+    differential check.
 ``numba``
     Optional ``@njit``-compiled F-build and feasibility kernels
     (:mod:`repro.backend.numba_backend`), import-guarded: resolving it
@@ -50,7 +44,7 @@ from repro.backend import kernels
 from repro.obs import metrics as obs_metrics
 
 #: Names accepted by configs and ``--backend`` (registration order).
-BACKEND_NAMES: Tuple[str, ...] = ("numpy", "sharedmem", "numba")
+BACKEND_NAMES: Tuple[str, ...] = ("numpy", "numba")
 
 
 class ComputeBackend:
@@ -59,13 +53,10 @@ class ComputeBackend:
     Parameters
     ----------
     name:
-        Registry key (``"numpy"``, ``"sharedmem"``, ``"numba"``).
+        Registry key (``"numpy"``, ``"numba"``).
     fmatrix, feasible_verdict, mc_success_chunk:
         Kernel callables with the signatures of their
         :mod:`repro.backend.kernels` references.
-    shared_fanout:
-        Whether :func:`repro.sim.parallel.execute_units` should route
-        unit grids through the shared-memory plane.
     """
 
     def __init__(
@@ -75,13 +66,11 @@ class ComputeBackend:
         fmatrix: Callable[..., np.ndarray] = kernels.fmatrix,
         feasible_verdict: Callable[..., bool] = kernels.feasible_verdict,
         mc_success_chunk: Callable[..., np.ndarray] = kernels.mc_success_chunk,
-        shared_fanout: bool = False,
     ) -> None:
         self.name = name
         self.fmatrix = fmatrix
         self.feasible_verdict = feasible_verdict
         self.mc_success_chunk = mc_success_chunk
-        self.shared_fanout = shared_fanout
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ComputeBackend({self.name!r})"
@@ -91,18 +80,13 @@ def _numpy_backend() -> ComputeBackend:
     return ComputeBackend("numpy")
 
 
-def _sharedmem_backend() -> ComputeBackend:
-    # Kernels are the numpy reference; only the fan-out plane differs.
-    return ComputeBackend("sharedmem", shared_fanout=True)
-
-
 def _numba_backend() -> ComputeBackend:
     from repro.backend import numba_backend
 
     if not numba_backend.NUMBA_AVAILABLE:
         raise ModuleNotFoundError(
             "numba is not installed; the numba backend needs it "
-            "(pip install numba, or use --backend numpy/sharedmem)"
+            "(pip install numba, or use --backend numpy)"
         )
     return ComputeBackend(
         "numba",
@@ -114,7 +98,6 @@ def _numba_backend() -> ComputeBackend:
 #: Lazy constructors — a backend's imports only run when it is resolved.
 _FACTORIES: Dict[str, Callable[[], ComputeBackend]] = {
     "numpy": _numpy_backend,
-    "sharedmem": _sharedmem_backend,
     "numba": _numba_backend,
 }
 

@@ -89,9 +89,7 @@ if NUMBA_AVAILABLE:  # pragma: no cover - compiled path, covered in CI
 
 def _require_numba() -> None:
     if not NUMBA_AVAILABLE:
-        raise ModuleNotFoundError(
-            "numba is not installed; use the numpy or sharedmem backend"
-        )
+        raise ModuleNotFoundError("numba is not installed; use the numpy backend")
 
 
 def fmatrix(

@@ -49,6 +49,7 @@ import sys
 from pathlib import Path
 
 from repro import obs
+from repro.backend.base import BACKEND_NAMES
 from repro.core.base import get_scheduler, list_schedulers
 from repro.core.problem import FadingRLS
 from repro.obs import metrics as obs_metrics
@@ -128,20 +129,6 @@ def _mc_max_bytes(args: argparse.Namespace) -> int | None:
     return int(mb * 2**20)
 
 
-def _backend(args: argparse.Namespace) -> str | None:
-    """``--backend`` validated (None = keep config default)."""
-    backend = getattr(args, "backend", None)
-    if backend is None:
-        return None
-    from repro.backend.base import BACKEND_NAMES
-
-    if backend not in BACKEND_NAMES:
-        raise SystemExit(
-            f"--backend must be one of {', '.join(BACKEND_NAMES)}, got {backend!r}"
-        )
-    return backend
-
-
 def _channel(args: argparse.Namespace) -> str | None:
     """``--channel`` validated/canonicalised (None = keep config default)."""
     spec = getattr(args, "channel", None)
@@ -171,6 +158,21 @@ def _resilience(args: argparse.Namespace) -> dict:
     if retries is not None and retries < 0:
         raise SystemExit(f"--max-retries must be >= 0, got {retries}")
     return {"unit_timeout": timeout, "max_retries": retries, "resume_dir": resume}
+
+
+def _sweep_config(args: argparse.Namespace, cfg):
+    """``cfg`` with the execution, resilience and channel flags applied.
+
+    Flags a subcommand does not define read as ``None`` and keep the
+    config default.
+    """
+    cfg = cfg.with_execution(
+        n_jobs=_n_jobs(args),
+        mc_max_bytes=_mc_max_bytes(args),
+        backend=args.backend,
+    )
+    cfg = cfg.with_resilience(**_resilience(args))
+    return cfg.with_channel(channel=_channel(args), power_policy=_power_policy(args))
 
 
 def cmd_schedule(args: argparse.Namespace) -> int:
@@ -239,14 +241,8 @@ def cmd_figures(args: argparse.Namespace) -> int:
     from repro.experiments.fig6 import throughput_vs_alpha, throughput_vs_links
     from repro.experiments.reporting import format_series
 
-    cfg = ExperimentConfig() if args.full else ExperimentConfig().small()
-    cfg = cfg.with_execution(
-        n_jobs=_n_jobs(args),
-        mc_max_bytes=_mc_max_bytes(args),
-        backend=_backend(args),
-    )
-    cfg = cfg.with_resilience(**_resilience(args))
-    cfg = cfg.with_channel(channel=_channel(args), power_policy=_power_policy(args))
+    base = ExperimentConfig() if args.full else ExperimentConfig().small()
+    cfg = _sweep_config(args, base)
     drivers = {
         "fig5a": (failed_vs_links, "mean_failed", "Fig. 5(a): failed transmissions vs #links"),
         "fig5b": (failed_vs_alpha, "mean_failed", "Fig. 5(b): failed transmissions vs alpha"),
@@ -341,7 +337,7 @@ def cmd_traffic(args: argparse.Namespace) -> int:
             )
         except ValueError as exc:
             raise SystemExit(str(exc))
-    with use_backend(_backend(args)):
+    with use_backend(args.backend):
         payload = run_scenario(scenario, n_jobs=_n_jobs(args) or 1, cache=cache)
     stats = payload["stats"]
     print(
@@ -464,14 +460,8 @@ def cmd_report(args: argparse.Namespace) -> int:
     from repro.experiments.config import ExperimentConfig
     from repro.experiments.report import generate_report
 
-    cfg = ExperimentConfig() if args.full else ExperimentConfig().small()
-    cfg = cfg.with_execution(
-        n_jobs=_n_jobs(args),
-        mc_max_bytes=_mc_max_bytes(args),
-        backend=_backend(args),
-    )
-    cfg = cfg.with_resilience(**_resilience(args))
-    cfg = cfg.with_channel(channel=_channel(args), power_policy=_power_policy(args))
+    base = ExperimentConfig() if args.full else ExperimentConfig().small()
+    cfg = _sweep_config(args, base)
     text = generate_report(cfg)
     if args.output:
         Path(args.output).write_text(text)
@@ -491,12 +481,8 @@ def cmd_power_sweep(args: argparse.Namespace) -> int:
         power_sweep,
     )
 
-    cfg = ExperimentConfig().small().with_execution(
-        n_jobs=_n_jobs(args),
-        mc_max_bytes=_mc_max_bytes(args),
-        backend=_backend(args),
-    )
-    channels = tuple(args.channel) if args.channel else DEFAULT_CHANNELS
+    cfg = _sweep_config(args, ExperimentConfig().small())
+    channels = tuple(args.channels) if args.channels else DEFAULT_CHANNELS
     policies = tuple(args.policy) if args.policy else POWER_POLICIES
     from repro.channel.laws import get_channel_law
 
@@ -733,11 +719,10 @@ def _add_backend_flag(p: argparse.ArgumentParser) -> None:
     """Attach the compute-backend selector shared by sweep commands."""
     p.add_argument(
         "--backend",
-        choices=("numpy", "sharedmem", "numba"),
+        choices=BACKEND_NAMES,
         default=None,
-        help="compute backend: numpy (reference), sharedmem (zero-copy "
-        "worker fan-out), numba (native kernels); results are "
-        "bit-identical, unavailable backends fall back to numpy",
+        help="compute backend: numpy (reference), numba (native kernels); "
+        "results are bit-identical, unavailable backends fall back to numpy",
     )
 
 
@@ -1065,6 +1050,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument(
         "--channel",
         action="append",
+        dest="channels",
         metavar="SPEC",
         default=None,
         help="channel-law spec for the grid (repeatable; default: rayleigh, "

@@ -78,10 +78,9 @@ class ExperimentConfig:
     are bit-identical either way), ``mc_max_bytes`` bounds each
     Monte-Carlo replay's peak memory (``None`` = the sampler's default
     128 MiB chunk budget), and ``backend`` selects the compute backend
-    (``numpy`` | ``sharedmem`` | ``numba``, see
-    :mod:`repro.backend` and ``docs/PERFORMANCE.md``; every backend is
-    bit-identical, unavailable ones fall back to ``numpy`` with a
-    warning).
+    (``numpy`` | ``numba``, see :mod:`repro.backend` and
+    ``docs/PERFORMANCE.md``; every backend is bit-identical, unavailable
+    ones fall back to ``numpy`` with a warning).
 
     Resilience knobs (``docs/ROBUSTNESS.md``): ``unit_timeout`` and
     ``max_retries`` configure the fault-tolerant executor (both unset =

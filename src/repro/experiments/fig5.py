@@ -12,12 +12,11 @@ Both sweeps execute through :func:`repro.sim.runner.run_sweep`, so the
 whole ``point x repetition x scheduler`` grid fans out over
 ``config.n_jobs`` worker processes (1 = serial; results are
 bit-identical for every value) under the ``config.mc_max_bytes`` replay
-memory budget, through the ``config.backend`` compute backend
-(``sharedmem`` shares each repetition's problem zero-copy across
-workers — see ``docs/PERFORMANCE.md``).  The config's resilience knobs (``unit_timeout``,
-``max_retries``, ``resume_dir``) flow through as well, so a sweep can
-survive worker crashes and resume after an interruption — see
-``docs/ROBUSTNESS.md``.
+memory budget, through the ``config.backend`` compute backend (see
+``docs/PERFORMANCE.md``).  The config's resilience knobs
+(``unit_timeout``, ``max_retries``, ``resume_dir``) flow through as
+well, so a sweep can survive worker crashes and resume after an
+interruption — see ``docs/ROBUSTNESS.md``.
 """
 
 from __future__ import annotations

@@ -1,15 +1,17 @@
 """Documentation-contract checker behind ``make docs-check``.
 
-Two gates, both cheap enough to run before every test pass:
+Five gates, all cheap enough to run before every test pass:
 
-1. **Catalogue completeness** — every span name passed to ``span("…")``
-   and every metric name passed to ``obs_metrics.inc/gauge/observe``
-   anywhere under ``src/`` (outside :mod:`repro.obs` itself) must
-   appear in the corresponding catalogue section of
-   ``docs/OBSERVABILITY.md``.  Adding an instrumented call site without
-   documenting its name fails the build, which is what keeps the
-   span/metric names a *stable public contract* rather than an
-   accident of the code.
+1. **Catalogue completeness, both ways** — every span name passed to
+   ``span("…")`` and every metric name passed to
+   ``obs_metrics.inc/gauge/observe`` anywhere under ``src/`` (outside
+   :mod:`repro.obs` itself) must appear in the corresponding catalogue
+   section of ``docs/OBSERVABILITY.md``, and every catalogue table row
+   of the form ``| `name` |`` must name a span or metric that ``src/``
+   still emits.  Adding an instrumented call site without documenting
+   it, or deleting one and leaving its row behind, fails the build,
+   which is what keeps the span/metric names a *stable public
+   contract* rather than an accident of the code.
 
 2. **API snippets** — every fenced ````python```` block in
    ``docs/API.md`` that contains doctest prompts (``>>>``) is executed
@@ -64,6 +66,9 @@ METRIC_USE_RE = re.compile(
 #: A catalogued name inside an OBSERVABILITY.md section: a backticked
 #: dotted identifier like `` `mc.chunks_sampled` ``.
 _CATALOGUE_NAME_RE = re.compile(r"`([a-z0-9_]+(?:\.[a-z0-9_]+)+)`")
+#: A catalogue table row whose first cell is one backticked name:
+#: ``| `mc.replay` | ...``.  Only these rows claim an emitted name.
+_CATALOGUE_ROW_RE = re.compile(r"^\|\s*`([a-z0-9_]+(?:\.[a-z0-9_]+)+)`\s*\|", re.MULTILINE)
 
 
 def used_names(src_root: Path) -> Tuple[Dict[str, List[str]], Dict[str, List[str]]]:
@@ -106,12 +111,22 @@ def catalogued_names(observability_md: str) -> Tuple[Set[str], Set[str]]:
     return spans, metrics
 
 
+def catalogue_rows(observability_md: str) -> Tuple[List[str], List[str]]:
+    """First-cell names of the Span and Metric catalogue table rows."""
+    return (
+        _CATALOGUE_ROW_RE.findall(_section(observability_md, "Span catalogue")),
+        _CATALOGUE_ROW_RE.findall(_section(observability_md, "Metric catalogue")),
+    )
+
+
 def check_catalogues(
     src_root: Path, observability_md: str
 ) -> List[str]:
-    """Names used in ``src/`` but missing from the catalogues."""
+    """Names used in ``src/`` but missing from the catalogues, and
+    catalogue rows naming something ``src/`` no longer emits."""
     used_spans, used_metrics = used_names(src_root)
     doc_spans, doc_metrics = catalogued_names(observability_md)
+    row_spans, row_metrics = catalogue_rows(observability_md)
     problems: List[str] = []
     if not doc_spans:
         problems.append(
@@ -131,6 +146,15 @@ def check_catalogues(
             f"metric {name!r} (used in {', '.join(used_metrics[name])}) is not in "
             f"the Metric catalogue of docs/OBSERVABILITY.md"
         )
+    for kind, rows, used in (
+        ("span", row_spans, used_spans),
+        ("metric", row_metrics, used_metrics),
+    ):
+        for name in sorted(set(rows) - set(used)):
+            problems.append(
+                f"{kind} {name!r} has a row in the {kind.capitalize()} catalogue of "
+                f"docs/OBSERVABILITY.md but no file under src/ emits it"
+            )
     return problems
 
 

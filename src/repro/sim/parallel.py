@@ -33,23 +33,20 @@ Compute backends
 ----------------
 Each :class:`WorkUnit` names the compute backend it executes under
 (:mod:`repro.backend.base`); workers install it before running, so
-``--backend numba`` survives the process boundary.  When the resolved
-backend requests shared fan-out (``sharedmem``), :func:`execute_units`
-materialises each repetition's problem once and ships segment
-references instead of workload factories — see
-:mod:`repro.backend.sharedmem`.  Results are bit-identical across
-backends and ``n_jobs`` either way (the ``backend-vs-numpy``
-differential check pins it).
+``--backend numba`` survives the process boundary.  Results are
+bit-identical across backends (the ``backend-vs-numpy`` differential
+check pins it) and across ``n_jobs``.
 
 Observability
 -------------
 When :mod:`repro.obs` is enabled, each work item runs inside the
-worker wrapped by :class:`_ObservedCall`: the worker's registries are
+worker through :func:`run_observed`: the worker's registries are
 reset, the item executes, and its metric snapshot plus drained spans
-travel back with the result.  The parent folds the snapshots into its
-own registry **in submission order** and re-attaches the spans (tagged
-with the item index) under its open span.  Because the metric
-instruments only use exact, associative aggregations (see
+travel back with the result.  The parent folds the payloads into its
+own registry **in submission order** (:func:`fold_observed`) and
+re-attaches the spans (tagged with the item index) under its open
+span; the resilient executor uses the same two helpers.  Because the
+metric instruments only use exact, associative aggregations (see
 :mod:`repro.obs.metrics`), the merged snapshot is *byte-identical* to
 the serial run's — ``n_jobs`` changes neither the results nor the
 metrics.
@@ -60,9 +57,22 @@ from __future__ import annotations
 import math
 import os
 import pickle
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, List, Mapping, Optional, Sequence, TypeVar
+from functools import partial
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+    TypeVar,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
     from repro.experiments.store import UnitCheckpoint
@@ -301,24 +311,35 @@ def _raise_pickling_diagnosis(
     ) from exc
 
 
-class _ObservedCall:
-    """Worker-side wrapper that ships metrics and spans home.
+def run_observed(func: Callable[[Any], Any], item: Any) -> Tuple[Any, Any, Any]:
+    """Worker side of observed execution: run ``func(item)`` in isolation.
 
-    Picklable (wraps a picklable ``func``).  Each call isolates the
-    worker's observability state: enable (workers spawned fresh start
-    disabled), reset both registries, run the item, then return the
-    result together with the item's metric snapshot and span records.
+    Enables observability (workers spawned fresh start disabled),
+    resets both registries, runs the item, then returns the result
+    together with the item's metric snapshot and span records.
+    ``partial(run_observed, func)`` is picklable whenever ``func`` is.
     """
+    _obs_state.enable()
+    obs_metrics.reset()
+    _obs_trace.reset()
+    result = func(item)
+    return result, obs_metrics.snapshot(), _obs_trace.drain_spans()
 
-    def __init__(self, func: Callable[[Any], Any]):
-        self.func = func
 
-    def __call__(self, item: Any):
-        _obs_state.enable()
-        obs_metrics.reset()
-        _obs_trace.reset()
-        result = self.func(item)
-        return result, obs_metrics.snapshot(), _obs_trace.drain_spans()
+def fold_observed(payloads: Iterable[Optional[Tuple[Any, Any]]]) -> None:
+    """Parent side: fold worker ``(snapshot, spans)`` payloads in order.
+
+    ``payloads`` is in submission order (``None`` for an item that ran
+    in the parent, whose metrics already landed in the live registry).
+    Folding in that order makes the merged snapshot byte-identical to
+    the serial run's.
+    """
+    for i, payload in enumerate(payloads):
+        if payload is None:
+            continue
+        snap, spans = payload
+        obs_metrics.merge_into_registry(snap)
+        _obs_trace.absorb_spans(spans, proc=i)
 
 
 def parallel_map(
@@ -353,48 +374,32 @@ def parallel_map(
                 if not _obs_state.enabled:
                     return list(pool.map(func, items, chunksize=max(1, chunksize)))
                 wrapped = list(
-                    pool.map(_ObservedCall(func), items, chunksize=max(1, chunksize))
+                    pool.map(
+                        partial(run_observed, func), items, chunksize=max(1, chunksize)
+                    )
                 )
         except Exception as exc:
             if _looks_like_pickling_error(exc):
                 _raise_pickling_diagnosis(func, items, exc)
             raise
-        results: List[U] = []
-        for i, (result, snap, spans) in enumerate(wrapped):
-            obs_metrics.merge_into_registry(snap)
-            _obs_trace.absorb_spans(spans, proc=i)
-            results.append(result)
-        return results
+        fold_observed((snap, spans) for _, snap, spans in wrapped)
+        return [result for result, _, _ in wrapped]
 
 
-def _plan_execution(units: Sequence[WorkUnit]):
-    """Resolve the units' backend into ``(worker_func, items, arena)``.
+def _warn_unavailable_backend(units: Sequence[WorkUnit]) -> None:
+    """Warn once when the units' backend falls back to numpy here.
 
-    The plain and numba backends execute the units as-is (each worker
-    installs the unit's backend); the sharedmem backend materialises
-    each distinct problem once and maps the units to
-    :class:`~repro.backend.sharedmem.SharedUnit`\\ s.  The returned
-    arena (``None`` unless shared) must be closed by the caller after
-    the map finishes — workers attach lazily, so the segments have to
-    outlive the last retry.  Shared fan-out is used even at
-    ``n_jobs=1`` so metric snapshots stay invariant in ``n_jobs`` for a
-    fixed backend.
+    Each worker installs the unit's backend itself; resolving it in the
+    parent first surfaces the fallback reason once per call instead of
+    once per unit.
     """
     if not units:
-        return execute_unit, list(units), None
+        return
     from repro.backend import base as backend_base
 
-    resolved, reason = backend_base.resolve(units[0].backend)
+    _, reason = backend_base.resolve(units[0].backend)
     if reason is not None:
-        import warnings
-
         warnings.warn(reason, RuntimeWarning, stacklevel=3)
-    if resolved.shared_fanout:
-        from repro.backend import sharedmem
-
-        shared, arena = sharedmem.materialize_units(units)
-        return sharedmem.execute_shared_unit, shared, arena
-    return execute_unit, list(units), None
 
 
 def execute_units(
@@ -421,12 +426,8 @@ def execute_units(
     sweep resumes from its completed cells.
     """
     if policy is None and checkpoint is None:
-        func, mapped, arena = _plan_execution(units)
-        try:
-            return parallel_map(func, mapped, n_jobs=n_jobs)
-        finally:
-            if arena is not None:
-                arena.close()
+        _warn_unavailable_backend(units)
+        return parallel_map(execute_unit, units, n_jobs=n_jobs)
     from repro.sim.resilient import RetryPolicy, resilient_map
 
     units = list(units)
@@ -450,20 +451,17 @@ def execute_units(
             if checkpoint is not None:
                 checkpoint.put(ck_keys[pending[sub_idx]], value)
 
-        func, mapped, arena = _plan_execution([units[i] for i in pending])
-        try:
-            computed = resilient_map(
-                func,
-                mapped,
-                keys=[keys[i] for i in pending],
-                n_jobs=n_jobs,
-                policy=policy or RetryPolicy(),
-                validate=valid_simulation_result,
-                on_result=_persist,
-            )
-        finally:
-            if arena is not None:
-                arena.close()
+        pending_units = [units[i] for i in pending]
+        _warn_unavailable_backend(pending_units)
+        computed = resilient_map(
+            execute_unit,
+            pending_units,
+            keys=[keys[i] for i in pending],
+            n_jobs=n_jobs,
+            policy=policy or RetryPolicy(),
+            validate=valid_simulation_result,
+            on_result=_persist,
+        )
         for i, value in zip(pending, computed):
             results[i] = value
     return results  # type: ignore[return-value]

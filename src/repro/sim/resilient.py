@@ -53,12 +53,12 @@ from __future__ import annotations
 import time
 from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, Future, ProcessPoolExecutor, wait
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.faults import inject
 from repro.obs import metrics as obs_metrics
 from repro.obs import state as _obs_state
-from repro.obs import trace as _obs_trace
 from repro.obs.trace import span
 from repro.utils.rng import stable_seed
 
@@ -167,17 +167,17 @@ def _run_task(
 ) -> Tuple[Any, Any, Any]:
     """Worker-process entry point (module-level, hence picklable).
 
-    With observability on, mirrors ``parallel._ObservedCall``: fresh
-    registries per try, and the try's metric snapshot plus drained
-    spans ride home with the value.
+    With observability on, the try runs through
+    :func:`repro.sim.parallel.run_observed`: fresh registries per try,
+    and the try's metric snapshot plus drained spans ride home with
+    the value.
     """
+    call = partial(_invoke, func, key=key, attempt=attempt)
     if not observed:
-        return _invoke(func, item, key, attempt), None, None
-    _obs_state.enable()
-    obs_metrics.reset()
-    _obs_trace.reset()
-    value = _invoke(func, item, key, attempt)
-    return value, obs_metrics.snapshot(), _obs_trace.drain_spans()
+        return call(item), None, None
+    from repro.sim.parallel import run_observed
+
+    return run_observed(call, item)
 
 
 def _poison_reason(value: Any, validate: Optional[Callable[[Any], bool]]) -> Optional[str]:
@@ -330,7 +330,11 @@ def _pool_map(
     on_result: Optional[Callable[[int, Any], None]],
 ) -> List[Any]:
     """Supervised pool execution with retry, timeout, and pool rebuild."""
-    from repro.sim.parallel import _looks_like_pickling_error, _raise_pickling_diagnosis
+    from repro.sim.parallel import (
+        _looks_like_pickling_error,
+        _raise_pickling_diagnosis,
+        fold_observed,
+    )
 
     n = len(items)
     observed = _obs_state.enabled
@@ -470,13 +474,5 @@ def _pool_map(
     if observed:
         # Fold worker payloads in submission (index) order — the same
         # order the serial path produces, hence byte-identical snapshots.
-        for idx in range(n):
-            payload = payloads.get(idx)
-            if payload is None:
-                continue
-            snap, spans = payload
-            if snap:
-                obs_metrics.merge_into_registry(snap)
-            if spans:
-                _obs_trace.absorb_spans(spans, proc=idx)
+        fold_observed(payloads.get(idx) for idx in range(n))
     return [results[i] for i in range(n)]

@@ -149,8 +149,8 @@ def run_schedulers(
         interrupted run resumed with the same checkpoint recomputes only
         the missing ones.
     backend:
-        Compute backend name (``numpy`` / ``sharedmem`` / ``numba``,
-        see :mod:`repro.backend`); unavailable backends fall back to
+        Compute backend name (``numpy`` / ``numba``, see
+        :mod:`repro.backend`); unavailable backends fall back to
         ``numpy`` with a warning.  Results are bit-identical across
         backends.
     channel:

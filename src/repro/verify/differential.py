@@ -31,9 +31,7 @@ reports structured :class:`~repro.verify.report.Mismatch` records:
 - ``backend-vs-numpy`` — every *available* compute backend
   (:mod:`repro.backend`) against the numpy reference: bit-identical F
   matrices and Monte-Carlo success bits (Rayleigh and a fading-stream
-  law), identical feasibility verdicts, and a sharedmem fan-out whose
-  per-unit results are bit-identical to the serial numpy path for
-  ``n_jobs`` in {1, 2, 4}.
+  law) and identical feasibility verdicts.
 
 Checks are callables ``(Scenario) -> list[Mismatch]`` registered in
 :data:`DIFFERENTIAL_CHECKS`; the harness composes them with the
@@ -55,7 +53,6 @@ from repro.core.exact import (
     milp_schedule,
 )
 from repro.core.problem import FadingRLS
-from repro.network.links import LinkSet
 from repro.sim.montecarlo import simulate_schedule, simulate_trials
 from repro.sim.parallel import parallel_map
 from repro.utils.rng import stable_seed
@@ -79,7 +76,6 @@ CODE_INCREMENTAL_QUALITY = "incremental-quality-divergence"
 CODE_BACKEND_F = "backend-f-divergence"
 CODE_BACKEND_VERDICT = "backend-verdict-divergence"
 CODE_BACKEND_MC = "backend-mc-divergence"
-CODE_BACKEND_FANOUT = "backend-fanout-divergence"
 
 #: Exact solvers are exponential; differential scenarios restrict to
 #: this many links before enumerating.
@@ -520,16 +516,6 @@ def check_with_params_cache_carry(scenario: Scenario) -> List[Mismatch]:
     return out
 
 
-@dataclass(frozen=True)
-class _FixedLinks:
-    """Picklable workload returning a fixed link set (backend fan-out)."""
-
-    links: "LinkSet"
-
-    def __call__(self, seed: int) -> "LinkSet":
-        return self.links
-
-
 def _fresh_problem(p: FadingRLS) -> FadingRLS:
     """A cache-free copy of ``p`` (forces a from-scratch F build)."""
     return FadingRLS(
@@ -560,13 +546,10 @@ def check_backend_vs_numpy(scenario: Scenario) -> List[Mismatch]:
        under :data:`BACKEND_STREAM_LAW`, whose fading stream runs
        through the backend's ``mc_success_chunk`` reduction.
 
-    A fourth contract covers the sharedmem zero-copy fan-out: the same
-    unit grid executed with ``backend='sharedmem'`` must return results
-    bit-identical to the serial numpy path for ``n_jobs`` in {1, 2, 4}.
+    ``n_jobs`` bit-identity of the unit fan-out is the
+    ``serial-vs-parallel`` check's contract, not this one's.
     """
     from repro.backend import base as backend_base
-    from repro.core.rle import rle_schedule
-    from repro.sim.parallel import build_units, execute_units
 
     p = scenario.problem
     out: List[Mismatch] = []
@@ -637,42 +620,4 @@ def check_backend_vs_numpy(scenario: Scenario) -> List[Mismatch]:
                             n_trials=48,
                         )
                     )
-
-    def _grid(backend: str) -> List:
-        units = build_units(
-            {"rle": rle_schedule},
-            _FixedLinks(p.links),
-            n_repetitions=2,
-            n_trials=32,
-            alpha=p.alpha,
-            gamma_th=p.gamma_th,
-            eps=p.eps,
-            root_seed=stable_seed("backend-fanout", root=scenario.seed),
-            noise=p.noise,
-            backend=backend,
-        )
-        return execute_units(units, n_jobs=1) if backend == "numpy" else units
-
-    ref_results = _grid("numpy")
-    for n_jobs in (1, 2, 4):
-        results = execute_units(_grid("sharedmem"), n_jobs=n_jobs)
-        for i, (a, b) in enumerate(zip(ref_results, results)):
-            if (
-                a.mean_failed != b.mean_failed
-                or a.mean_throughput != b.mean_throughput
-                or not np.array_equal(a.per_link_success, b.per_link_success)
-            ):
-                out.append(
-                    _mismatch(
-                        "backend-vs-numpy",
-                        scenario,
-                        CODE_BACKEND_FANOUT,
-                        f"sharedmem fan-out (n_jobs={n_jobs}) unit {i} diverged "
-                        f"from the serial numpy path (failed {b.mean_failed} vs "
-                        f"{a.mean_failed})",
-                        backend="sharedmem",
-                        n_jobs=n_jobs,
-                        unit=i,
-                    )
-                )
     return out

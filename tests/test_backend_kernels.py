@@ -166,9 +166,6 @@ class TestBackendRegistry:
     def test_numpy_always_available(self):
         assert "numpy" in AVAILABLE
 
-    def test_sharedmem_available(self):
-        assert "sharedmem" in AVAILABLE
-
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError):
             backend_base.resolve("fortran")
@@ -190,8 +187,12 @@ class TestBackendRegistry:
         finally:
             backend_base._instances.pop("numba", None)
 
-    def test_use_restores_previous(self):
+    def test_use_restores_previous(self, monkeypatch):
+        monkeypatch.setitem(
+            backend_base._FACTORIES, "fake", lambda: backend_base.ComputeBackend("fake")
+        )
+        monkeypatch.setattr(backend_base, "_instances", {})
         before = backend_base.get_active().name
-        with backend_base.use("sharedmem"):
-            assert backend_base.get_active().name == "sharedmem"
+        with backend_base.use("fake"):
+            assert backend_base.get_active().name == "fake"
         assert backend_base.get_active().name == before

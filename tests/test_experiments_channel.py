@@ -89,7 +89,7 @@ class TestCheckpointKey:
 
     def test_backend_excluded(self):
         assert checkpoint_key(_unit(backend="numpy")) == checkpoint_key(
-            _unit(backend="sharedmem")
+            _unit(backend="numba")
         )
 
     @pytest.mark.parametrize(
@@ -147,7 +147,7 @@ class TestBitInvariance:
         return _run(backend="numpy", n_jobs=1)
 
     @pytest.mark.parametrize("n_jobs", [1, 2, 4])
-    @pytest.mark.parametrize("backend", ["numpy", "sharedmem"])
+    @pytest.mark.parametrize("backend", ["numpy", "numba"])
     def test_backend_jobs_grid(self, baseline, backend, n_jobs):
         _assert_identical(_run(backend=backend, n_jobs=n_jobs), baseline)
 
@@ -240,7 +240,7 @@ class TestCliAcceptance:
     def test_bit_identical_across_backends_and_jobs(self, tmp_path):
         baseline = self._fig5(tmp_path, "base", "numpy", 1)
         assert set(baseline) >= {"fig5a", "fig5b"}
-        for backend, jobs in (("numpy", 2), ("sharedmem", 1), ("sharedmem", 4)):
+        for backend, jobs in (("numpy", 2), ("numba", 1), ("numba", 4)):
             got = self._fig5(tmp_path, f"{backend}{jobs}", backend, jobs)
             assert got == baseline
 

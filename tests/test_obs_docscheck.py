@@ -80,6 +80,26 @@ class TestFailureModes:
         problems = docscheck.run_checks(root)
         assert any("'undocumented.span'" in p for p in problems)
 
+    def test_fails_on_stale_catalogue_rows(self):
+        text = (REPO_ROOT / "docs" / "OBSERVABILITY.md").read_text()
+        span_row = text.index("| `mc.replay` |")
+        metric_row = text.index("| `mc.trials_simulated` |")
+        assert span_row < metric_row
+        text = (
+            text[:span_row]
+            + "| `backend.stale_span` | `n` | `gone.py` | no longer emitted |\n"
+            + text[span_row:metric_row]
+            + "| `backend.stale_count` | counter | n | no longer emitted |\n"
+            + "Prose naming `backend.prose_only` is not a row.\n"
+            + text[metric_row:]
+        )
+        problems = docscheck.check_catalogues(REPO_ROOT / "src", text)
+        assert len(problems) == 2
+        assert "span 'backend.stale_span'" in problems[0]
+        assert "Span catalogue" in problems[0] and "no file under src/" in problems[0]
+        assert "metric 'backend.stale_count'" in problems[1]
+        assert "Metric catalogue" in problems[1]
+
     def test_fails_when_catalogue_section_missing(self, tmp_path):
         root = _copy_repo_docs_and_src(tmp_path)
         obs_md = root / "docs" / "OBSERVABILITY.md"

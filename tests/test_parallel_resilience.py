@@ -256,9 +256,15 @@ def test_abandon_kills_live_workers():
     procs = list(pool._processes.values())
     assert procs, "worker never spawned"
     _abandon(pool)
+    deadline = _time.monotonic() + 10.0
     for proc in procs:
         proc.join(timeout=10.0)
-        assert not proc.is_alive(), "abandoned worker survived the kill"
+        # The pool's manager thread joins the same worker; while it holds
+        # the reaped status, our waitpid sees ECHILD and is_alive() reads
+        # True for a dead pid.  Wait for the exit code to land instead.
+        while proc.exitcode is None and _time.monotonic() < deadline:
+            _time.sleep(0.01)
+        assert proc.exitcode is not None, "abandoned worker survived the kill"
 
 
 class TestObservabilityUnderChaos:

@@ -118,16 +118,24 @@ class TestFaultInjection:
         import numpy as np
 
         from repro.backend import base as backend_base
-
-        backend = backend_base.resolve("sharedmem")[0]
-        real = backend.mc_success_chunk
+        from repro.backend import kernels
 
         def flipped(z, gamma_th, noise, *, out, scratch=None):
-            real(z, gamma_th, noise, out=out, scratch=scratch)
+            kernels.mc_success_chunk(z, gamma_th, noise, out=out, scratch=scratch)
             np.logical_not(out[:1, :1], out=out[:1, :1])
             return out
 
-        monkeypatch.setattr(backend, "mc_success_chunk", flipped)
+        # A non-numpy backend registered for this test only, so the
+        # check has something to compare even where numba is absent.
+        monkeypatch.setitem(
+            backend_base._FACTORIES,
+            "flipped",
+            lambda: backend_base.ComputeBackend("flipped", mc_success_chunk=flipped),
+        )
+        monkeypatch.setattr(
+            backend_base, "BACKEND_NAMES", (*backend_base.BACKEND_NAMES, "flipped")
+        )
+        monkeypatch.setattr(backend_base, "_instances", {})
         mismatches = [
             m for m in check_backend_vs_numpy(make_scenario("paper", 0, root_seed=0))
             if m.code == CODE_BACKEND_MC

@@ -232,7 +232,7 @@ def test_njobs_invariance_sweep(arrivals, seed, topo_seed):
     assert per_jobs[1] == per_jobs[2] == per_jobs[4]
 
 
-def test_sharedmem_and_njobs_cross_invariance():
+def test_backend_and_njobs_cross_invariance():
     """One pinned scenario: every backend x n_jobs cell, byte-identical.
 
     The acceptance criterion's matrix form — the Hypothesis tests above
